@@ -4,7 +4,7 @@ use crate::bits::BitBuf;
 use crate::error::ProtocolError;
 use crate::pool::SpillPool;
 use crate::stats::ChannelStats;
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::{Hot, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,6 +98,8 @@ pub struct Endpoint {
     /// payloads born on one side recycle their storage when dropped on
     /// the other.
     pool: Arc<SpillPool>,
+    /// How this end waits for the peer's reply (see [`Hot`]).
+    hot: Hot,
 }
 
 impl Endpoint {
@@ -106,6 +108,10 @@ impl Endpoint {
     /// `budget` bounds the *total* bits observed by one endpoint (sent plus
     /// received — i.e. the total communication of the protocol); `timeout`
     /// bounds each blocking receive.
+    ///
+    /// The first endpoint is the session owner's (Alice, on the thread that
+    /// runs the session) and waits as [`Hot::Yield`]; the second goes to
+    /// the thread that serves it and waits as [`Hot::Spin`].
     pub fn pair(budget: Option<u64>, timeout: Duration) -> (Endpoint, Endpoint) {
         let (tx_ab, rx_ab) = crossbeam_channel::unbounded();
         let (tx_ba, rx_ba) = crossbeam_channel::unbounded();
@@ -118,6 +124,7 @@ impl Endpoint {
             timeout,
             peer_done: false,
             pool: Arc::clone(&pool),
+            hot: Hot::Yield,
         };
         let b = Endpoint {
             tx: tx_ba,
@@ -127,6 +134,7 @@ impl Endpoint {
             timeout,
             peer_done: false,
             pool,
+            hot: Hot::Spin,
         };
         (a, b)
     }
@@ -195,7 +203,7 @@ impl Endpoint {
     /// either desynchronizes the pair and must retire the runner.
     pub(crate) fn drain_to_fin(&mut self) -> Result<(), ProtocolError> {
         while !self.peer_done {
-            match self.rx.recv_timeout(self.timeout) {
+            match self.rx.recv_hot(self.timeout, self.hot) {
                 Ok(Frame::Fin) => self.peer_done = true,
                 Ok(Frame::Msg { .. }) => {}
                 Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
@@ -248,10 +256,15 @@ impl Chan for Endpoint {
         if self.peer_done {
             return Err(ProtocolError::ChannelClosed);
         }
-        let frame = self.rx.recv_timeout(self.timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
-        })?;
+        // The peer is the other half of this session, computing its reply:
+        // stay awake for it (see `Receiver::recv_hot`).
+        let frame = self
+            .rx
+            .recv_hot(self.timeout, self.hot)
+            .map_err(|e| match e {
+                crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
+                crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
+            })?;
         let (depth, payload) = match frame {
             Frame::Msg { depth, payload } => (depth, payload),
             Frame::Fin => {
@@ -372,6 +385,95 @@ mod tests {
     fn timeout_is_reported() {
         let (mut a, _b) = Endpoint::pair(None, Duration::from_millis(10));
         assert_eq!(a.recv().unwrap_err(), ProtocolError::Timeout);
+    }
+
+    /// Both ends of a pair with `make`'s budget and timeout, each once as
+    /// the waiting side: the first end yields while it waits, the second
+    /// spins (`crossbeam_channel::Hot`), and neither may change what is
+    /// reported.
+    fn both_ways(make: impl Fn() -> (Endpoint, Endpoint)) -> [(Endpoint, Endpoint); 2] {
+        let (a, b) = make();
+        let (a2, b2) = make();
+        [(a, b), (b2, a2)]
+    }
+
+    #[test]
+    fn timeout_inside_the_hot_window_is_still_a_timeout_and_on_time() {
+        use crossbeam_channel::{HOT_SPIN, HOT_WINDOW};
+        for timeout in [HOT_SPIN / 3, HOT_WINDOW / 5, HOT_WINDOW * 40] {
+            for (mut a, _b) in both_ways(|| Endpoint::pair(None, timeout)) {
+                let start = std::time::Instant::now();
+                assert_eq!(a.recv().unwrap_err(), ProtocolError::Timeout);
+                let waited = start.elapsed();
+                assert!(waited >= timeout, "{waited:?} < {timeout:?}");
+                // Slack for a descheduled test thread, not for the wait.
+                assert!(waited < timeout + HOT_WINDOW + Duration::from_millis(50));
+                assert_eq!(a.drain_to_fin().unwrap_err(), ProtocolError::Timeout);
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_timeout_does_not_overflow_the_deadline() {
+        // `RunConfig::timeout` is a public field: `Duration::MAX` must
+        // mean "wait forever", not panic in `Instant + Duration`.
+        let (mut a, mut b) = Endpoint::pair(None, Duration::MAX);
+        let h = std::thread::spawn(move || {
+            let got = b.recv().unwrap();
+            b.send(got).unwrap();
+            b.send_fin();
+        });
+        a.send(msg(6)).unwrap();
+        assert_eq!(a.recv().unwrap().len(), 6);
+        a.drain_to_fin().unwrap();
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn a_waiting_receiver_sees_hangup_fin_and_budget_in_every_phase_of_the_wait() {
+        use crossbeam_channel::HOT_WINDOW;
+        // The peer acts while the receiver is still probing (no delay) or
+        // long after it parked (8 windows): the report must not depend on
+        // which, nor on which end of the pair waits.
+        for delay in [Duration::ZERO, HOT_WINDOW * 8] {
+            for (mut a, b) in both_ways(pair) {
+                let h = std::thread::spawn(move || {
+                    std::thread::sleep(delay);
+                    drop(b);
+                });
+                assert_eq!(a.recv().unwrap_err(), ProtocolError::ChannelClosed);
+                h.join().unwrap();
+            }
+
+            for (mut a, mut b) in both_ways(pair) {
+                let h = std::thread::spawn(move || {
+                    std::thread::sleep(delay);
+                    b.send(msg(3)).unwrap();
+                    b.send_fin();
+                    b
+                });
+                assert_eq!(a.recv().unwrap().len(), 3);
+                assert_eq!(a.recv().unwrap_err(), ProtocolError::ChannelClosed);
+                assert_eq!(a.recv().unwrap_err(), ProtocolError::ChannelClosed);
+                drop(h.join().unwrap());
+            }
+
+            for (mut a, mut b) in both_ways(|| Endpoint::pair(Some(16), Duration::from_secs(5))) {
+                a.send(msg(5)).unwrap(); // never read by b: counts for a only
+                let h = std::thread::spawn(move || {
+                    std::thread::sleep(delay);
+                    b.send(msg(10)).unwrap();
+                    b.send(msg(6)).unwrap(); // within b's budget, past a's
+                    b
+                });
+                assert_eq!(a.recv().unwrap().len(), 10);
+                assert!(matches!(
+                    a.recv().unwrap_err(),
+                    ProtocolError::BudgetExceeded { limit_bits: 16 }
+                ));
+                drop(h.join().unwrap());
+            }
+        }
     }
 
     #[test]

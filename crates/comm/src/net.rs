@@ -103,10 +103,15 @@ impl Chan for Link {
     }
 
     fn recv(&mut self) -> Result<BitBuf, ProtocolError> {
-        let frame = self.rx.recv_timeout(self.timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
-        })?;
+        // m players per session are more threads than cores: a waiting
+        // player offers its core between probes, never spins on it.
+        let frame = self
+            .rx
+            .recv_hot(self.timeout, crossbeam_channel::Hot::Yield)
+            .map_err(|e| match e {
+                crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
+                crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
+            })?;
         self.clock = self.clock.max(frame.depth);
         self.stats.clock = self.clock;
         let bits = frame.payload.len() as u64;

@@ -14,7 +14,7 @@ use crate::chan::{Chan, Endpoint};
 use crate::coins::CoinSource;
 use crate::error::ProtocolError;
 use crate::stats::{ChannelStats, CostReport};
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::{Hot, Receiver, Sender};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
@@ -434,6 +434,10 @@ impl SessionRunner {
         let (done_tx, done_rx) = crossbeam_channel::unbounded();
         let handle = std::thread::spawn(move || {
             let _pool = ep_b.pool().clone().install();
+            // This thread serves the one that holds the runner. Between
+            // jobs it sleeps at once: the core it leaves is where the
+            // threads that produce the next job (the engine's dispatcher,
+            // its caller) get to run without displacing that one.
             for job in job_rx.iter() {
                 // Full reset (drain included) only at a job boundary,
                 // ordered by the ready handshake; inside a batch the fin
@@ -547,7 +551,7 @@ impl SessionRunner {
             self.ep_a.send_fin();
             (res, self.ep_a.stats())
         };
-        let (res_b, stats_b) = match self.done_rx.recv() {
+        let (res_b, stats_b) = match self.done_rx.recv_hot(Duration::MAX, Hot::Yield) {
             Ok(Done::Single(done)) => done,
             _ => {
                 self.broken = true;
@@ -623,7 +627,7 @@ impl SessionRunner {
         }
         // Every worker-side blocking operation is timeout-bounded, so
         // the batch report always arrives (possibly short).
-        let done = match self.done_rx.recv() {
+        let done = match self.done_rx.recv_hot(Duration::MAX, Hot::Yield) {
             Ok(Done::Batch(done)) => done,
             _ => {
                 self.broken = true;
@@ -720,7 +724,7 @@ impl SessionRunner {
         }
         // The worker's blocking operations are timeout-bounded, so the
         // stream report always arrives (possibly short and unclean).
-        let done = match self.done_rx.recv() {
+        let done = match self.done_rx.recv_hot(Duration::MAX, Hot::Yield) {
             Ok(Done::Stream(done, clean)) => {
                 if !clean {
                     self.broken = true;
@@ -770,7 +774,7 @@ impl SessionRunner {
             kind,
         };
         self.ep_a.reset(cfg.bit_budget, cfg.timeout);
-        if job_tx.send(job).is_err() || self.ready_rx.recv().is_err() {
+        if job_tx.send(job).is_err() || self.ready_rx.recv_hot(Duration::MAX, Hot::Yield).is_err() {
             self.broken = true;
             return Err(self.broken_error());
         }

@@ -4,11 +4,20 @@
 //! # Architecture
 //!
 //! ```text
-//! submit ──▶ [admission queue, bounded] ──▶ dispatcher ──▶ [work queue] ──▶ W workers
+//! submit ──▶ [admission queue, bounded] ──▶ dispatcher ──▶ [inbox] × W ──▶ W workers
 //!                 │ full? Rejected              │ gates in-flight ≤ M        │
 //!                 ▼                             ▼                            ▼
 //!             registry.rejected          whole sessions, FIFO      one SessionRunner each
 //! ```
+//!
+//! The dispatcher knows which workers are idle (each finished item comes
+//! back as the worker's index) and hands a session to an idle worker's
+//! inbox — the one that finished last, if it is free, because it is still
+//! inside its hot wait (`Receiver::recv_hot`, yielding between probes) and
+//! takes the next session without a wake-up. A pair's stream blocks always
+//! go to worker `pair % W`, busy or not, so they find the pair's warm
+//! runner. Every worker blocks on its one inbox, and the dispatcher sleeps
+//! while the pool is full: an idle engine makes no wake-ups.
 //!
 //! Each worker owns a long-lived [`SessionRunner`]: Alice's half runs on
 //! the worker thread itself and Bob's half on the runner's paired
@@ -39,9 +48,7 @@ use crate::request::SessionRequest;
 use crate::router::calibration::{describe_calibration_metrics, CalibrationConfig, Calibrator};
 use crate::router::{route_calibrated, theory_envelope, RoutePolicy};
 use crate::timeline::{SessionTimeline, TimelineStamps};
-use crossbeam_channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
-};
+use crossbeam_channel::{bounded, unbounded, Hot, Receiver, Sender, TrySendError};
 use intersect_comm::chan::{Chan, Endpoint};
 use intersect_comm::coins::CoinSource;
 use intersect_comm::error::ProtocolError;
@@ -312,12 +319,38 @@ pub struct StreamId {
     pub stream: u64,
 }
 
-/// Everything a worker needs besides its runner and the work queue.
+/// The dispatcher's view of the pool.
+struct PoolLoad {
+    /// Items handed to each worker and not yet reported done.
+    load: Vec<usize>,
+    /// The worker that finished last: it is still inside its hot wait.
+    recent: usize,
+}
+
+impl PoolLoad {
+    fn in_flight(&self) -> usize {
+        self.load.iter().sum()
+    }
+
+    fn retire(&mut self, worker: usize) {
+        self.load[worker] -= 1;
+        self.recent = worker;
+    }
+
+    /// A worker with nothing to do, the most recently finished first.
+    fn idle(&self) -> Option<usize> {
+        if self.load[self.recent] == 0 {
+            return Some(self.recent);
+        }
+        self.load.iter().position(|&l| l == 0)
+    }
+}
+
+/// Everything a worker needs besides its runner and its inbox.
 struct WorkerCtx {
     registry: Arc<Registry>,
     outcome_tx: Sender<SessionOutcome>,
     mp_outcome_tx: Sender<MultipartySessionOutcome>,
-    done_tx: Sender<()>,
     conformance: Option<(ConformanceConfig, Arc<ConformanceMonitor>)>,
     calibration: Option<Arc<Calibrator>>,
 }
@@ -571,8 +604,6 @@ fn run_session(runner: &mut SessionRunner, task: SessionTask, ctx: &WorkerCtx) {
         },
         trace,
     );
-    // The dispatcher may already be gone during drain; that's fine.
-    let _ = ctx.done_tx.send(());
 }
 
 /// One finished session from a batch: each party's output and the cost report.
@@ -659,7 +690,6 @@ fn run_batch_session(runner: &mut SessionRunner, task: BatchTask, ctx: &WorkerCt
             None,
         );
     }
-    let _ = ctx.done_tx.send(());
 }
 
 /// Runs one streamed submission on the pair's affine worker: coin seeds
@@ -802,7 +832,6 @@ fn run_stream_session(runner: &mut SessionRunner, task: StreamTask, ctx: &Worker
             None,
         );
     }
-    let _ = ctx.done_tx.send(());
 }
 
 /// Runs one whole m-party session on this worker and emits its outcome.
@@ -931,7 +960,6 @@ fn run_multiparty_session(
     }
     obs::gauge_add("engine_in_flight", -1);
     let _ = ctx.mp_outcome_tx.send(outcome);
-    let _ = ctx.done_tx.send(());
 }
 
 /// A running session engine. Submit requests from any thread; call
@@ -1097,10 +1125,10 @@ impl Engine {
         let workers = config.workers.max(2);
         let max_in_flight = config.max_in_flight.max(1);
         let (admit_tx, admit_rx) = bounded::<Submission>(config.queue_capacity.max(1));
-        let (work_tx, work_rx) = unbounded::<WorkItem>();
         let (outcome_tx, outcome_rx) = unbounded::<SessionOutcome>();
         let (mp_outcome_tx, mp_outcome_rx) = unbounded::<MultipartySessionOutcome>();
-        let (done_tx, done_rx) = unbounded::<()>();
+        // Finished items come back as the index of the worker that ran them.
+        let (done_tx, done_rx) = unbounded::<usize>();
         let registry = Arc::new(Registry::with_capacity(config.ring));
         let cache = Arc::new(PlanCache::new());
         let pair_contexts = Arc::new(PairContextCache::new());
@@ -1118,21 +1146,17 @@ impl Engine {
             })
         });
 
-        // Each worker also owns a private queue for pair-affine stream
-        // work: the dispatcher routes a pair's streams to worker
-        // `pair % workers`, so a pair's sessions always find the same
-        // warm runner.
-        let (stream_txs, stream_rxs): (Vec<Sender<WorkItem>>, Vec<Receiver<WorkItem>>) =
+        let (inbox_txs, inbox_rxs): (Vec<Sender<WorkItem>>, Vec<Receiver<WorkItem>>) =
             (0..workers).map(|_| unbounded::<WorkItem>()).unzip();
-        let worker_handles: Vec<JoinHandle<()>> = stream_rxs
+        let worker_handles: Vec<JoinHandle<()>> = inbox_rxs
             .into_iter()
-            .map(|stream_rx| {
-                let work_rx = work_rx.clone();
+            .enumerate()
+            .map(|(index, inbox)| {
+                let done_tx = done_tx.clone();
                 let ctx = WorkerCtx {
                     registry: Arc::clone(&registry),
                     outcome_tx: outcome_tx.clone(),
                     mp_outcome_tx: mp_outcome_tx.clone(),
-                    done_tx: done_tx.clone(),
                     conformance: monitor.as_ref().map(|(cfg, m)| (*cfg, Arc::clone(m))),
                     calibration: calibrator.clone(),
                 };
@@ -1143,66 +1167,25 @@ impl Engine {
                     // And one reusable link mesh per party count it has
                     // hosted, reset between m-party sessions.
                     let mut link_pool: HashMap<usize, LinkSet> = HashMap::new();
-                    let mut shared_open = true;
-                    let mut affine_open = true;
-                    while shared_open || affine_open {
-                        // Drain pair-affine stream work first; when both
-                        // queues are live, poll the shared queue with a
-                        // short timeout so neither starves. The vendored
-                        // channel has no `select!`, hence the poll loop.
-                        let item = if !affine_open {
-                            match work_rx.recv() {
-                                Ok(item) => Some(item),
-                                Err(_) => {
-                                    shared_open = false;
-                                    None
-                                }
-                            }
-                        } else if !shared_open {
-                            match stream_rx.recv() {
-                                Ok(item) => Some(item),
-                                Err(_) => {
-                                    affine_open = false;
-                                    None
-                                }
-                            }
-                        } else {
-                            match stream_rx.try_recv() {
-                                Ok(item) => Some(item),
-                                Err(TryRecvError::Disconnected) => {
-                                    affine_open = false;
-                                    None
-                                }
-                                Err(TryRecvError::Empty) => {
-                                    match work_rx.recv_timeout(Duration::from_millis(1)) {
-                                        Ok(item) => Some(item),
-                                        Err(RecvTimeoutError::Timeout) => None,
-                                        Err(RecvTimeoutError::Disconnected) => {
-                                            shared_open = false;
-                                            None
-                                        }
-                                    }
-                                }
-                            }
-                        };
+                    // Hot once per item: a closed-loop caller's next session
+                    // arrives within the window; an idle worker parks.
+                    while let Ok(item) = inbox.recv_hot(Duration::MAX, Hot::Yield) {
                         match item {
-                            Some(WorkItem::Single(task)) => run_session(&mut runner, task, &ctx),
-                            Some(WorkItem::Batch(task)) => {
-                                run_batch_session(&mut runner, task, &ctx)
-                            }
-                            Some(WorkItem::Stream(task)) => {
-                                run_stream_session(&mut runner, task, &ctx)
-                            }
-                            Some(WorkItem::Multiparty(task)) => {
+                            WorkItem::Single(task) => run_session(&mut runner, task, &ctx),
+                            WorkItem::Batch(task) => run_batch_session(&mut runner, task, &ctx),
+                            WorkItem::Stream(task) => run_stream_session(&mut runner, task, &ctx),
+                            WorkItem::Multiparty(task) => {
                                 run_multiparty_session(&mut link_pool, task, &ctx)
                             }
-                            None => {}
                         }
+                        // The dispatcher may already be gone during drain;
+                        // that's fine.
+                        let _ = done_tx.send(index);
                     }
                 })
             })
             .collect();
-        drop(work_rx);
+        drop(done_tx);
 
         let dispatcher = {
             let policy = config.policy;
@@ -1211,14 +1194,32 @@ impl Engine {
             let pair_contexts = Arc::clone(&pair_contexts);
             let calibrator = calibrator.clone();
             std::thread::spawn(move || {
-                let mut in_flight = 0usize;
+                let mut pool = PoolLoad {
+                    load: vec![0; inbox_txs.len()],
+                    recent: 0,
+                };
                 for submission in admit_rx.iter() {
-                    while in_flight >= max_in_flight {
-                        if done_rx.recv().is_err() {
-                            return; // all workers gone
+                    done_rx.try_iter().for_each(|worker| pool.retire(worker));
+                    // A stream block queues on its pair's worker; anything
+                    // else needs a worker with nothing to do.
+                    let affine = match &submission {
+                        Submission::Stream(pair, ..) => Some(*pair as usize % inbox_txs.len()),
+                        _ => None,
+                    };
+                    let target = loop {
+                        if pool.in_flight() < max_in_flight {
+                            if let Some(worker) = affine.or_else(|| pool.idle()) {
+                                break worker;
+                            }
                         }
-                        in_flight -= 1;
-                    }
+                        // Parked: a session lasts longer than any window
+                        // worth a core, and the core this thread would
+                        // wait on is one the session's halves need.
+                        match done_rx.recv() {
+                            Ok(worker) => pool.retire(worker),
+                            Err(_) => return, // all workers gone
+                        }
+                    };
                     let dispatched_at = Instant::now();
                     let item = match submission {
                         Submission::Single(request, submitted_at) => {
@@ -1317,19 +1318,10 @@ impl Engine {
                             })
                         }
                     };
-                    // Streams go to the pair's affine worker; everything
-                    // else to the shared queue.
-                    let sent = match item {
-                        WorkItem::Stream(task) => {
-                            let target = (task.pair as usize) % stream_txs.len();
-                            stream_txs[target].send(WorkItem::Stream(task))
-                        }
-                        other => work_tx.send(other),
-                    };
-                    if sent.is_err() {
+                    if inbox_txs[target].send(item).is_err() {
                         return;
                     }
-                    in_flight += 1;
+                    pool.load[target] += 1;
                 }
             })
         };

@@ -42,7 +42,7 @@ pub struct SessionTimeline {
     /// Routing and plan-cache (or pair-context) resolution on the
     /// dispatcher thread.
     pub plan_cache_micros: u64,
-    /// Waiting in the work queue for a free worker; for remote sessions
+    /// Waiting in the worker's inbox to be picked up; for remote sessions
     /// this is where transport hand-off latency lands.
     pub wire_wait_micros: u64,
     /// Coin-seed derivation and randomness presampling on the worker.
@@ -93,7 +93,7 @@ pub(crate) struct TimelineStamps {
     pub submitted_at: Instant,
     /// Dispatcher pulled the submission past the in-flight gate.
     pub dispatched_at: Instant,
-    /// Routing and plan resolution finished; handed to the work queue.
+    /// Routing and plan resolution finished; handed to a worker's inbox.
     pub planned_at: Instant,
     /// A worker picked the session up.
     pub started_at: Instant,

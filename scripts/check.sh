@@ -32,6 +32,12 @@ cargo test -q -p intersect-engine --test multiparty_bit_identity
 echo "==> E25 party-topology smoke (--quick)"
 cargo run -q --release -p intersect-bench --bin report -- --exp E25 --quick >/dev/null
 
+echo "==> benchmark unit tests (BENCHMARK.json consistency, statistics, /proc parsing)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark smoke (--quick: ground truth, screened reports, bit-identity sample)"
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --quick >/dev/null
+
 echo "==> telemetry plane smoke"
 ./scripts/telemetry_smoke.sh
 
