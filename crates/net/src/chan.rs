@@ -11,103 +11,68 @@
 //! `ChannelStats`: the paper's cost model counts protocol bits, and the
 //! wire format is built so the two ledgers stay separable.
 
-use crate::frame::{write_frame, WireFrame};
-use crate::transport::Stream;
-use crossbeam_channel::Receiver;
+use crate::frame::WireFrame;
+use crate::mux::{deadline_after, Conn};
 use intersect_comm::bits::BitBuf;
 use intersect_comm::chan::Chan;
 use intersect_comm::error::ProtocolError;
-use intersect_comm::stats::{ChannelStats, NetworkReport};
-use std::sync::{Arc, Mutex};
+use intersect_comm::stats::ChannelStats;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The write half of a connection, shared by every session multiplexed
-/// onto it. One frame is written per lock acquisition, so frames from
-/// concurrent sessions interleave but never tear.
-pub(crate) type SharedWriter = Arc<Mutex<Stream>>;
-
-/// What a connection's reader thread delivers to one session.
-#[derive(Debug)]
-pub(crate) enum SessionEvent {
-    /// Server accepted the session and routed it to the named protocol.
-    Accept(String),
-    /// A protocol message.
-    Msg {
-        /// Sender's causal depth.
-        depth: u64,
-        /// The payload.
-        payload: BitBuf,
-    },
-    /// The peer's half of the session is over.
-    Fin,
-    /// Server half completed: final counters plus its output.
-    Done {
-        /// Server-side channel counters.
-        stats: ChannelStats,
-        /// Server party's computed intersection.
-        result: Vec<u64>,
-    },
-    /// The peer reported a session failure.
-    Error(String),
-    /// The connection itself went away.
-    Closed,
-    /// A multiparty protocol message for the pairwise link to `peer`.
-    MpMsg {
-        /// Mesh player on the other end of the link.
-        peer: usize,
-        /// Sender's causal depth.
-        depth: u64,
-        /// The payload.
-        payload: BitBuf,
-    },
-    /// The remotely driven player's final output (server side only).
-    MpOut {
-        /// Its computed intersection, if it holds one.
-        intersection: Option<Vec<u64>>,
-        /// Its disjointness verdict, if any.
-        verdict: Option<bool>,
-    },
-    /// The whole m-party session completed (client side only).
-    MpDone {
-        /// The player left holding the intersection, if any.
-        holder: Option<usize>,
-        /// The holder's computed global intersection.
-        result: Vec<u64>,
-        /// Per-player disjointness verdicts.
-        verdicts: Vec<Option<bool>>,
-        /// Exact per-player communication and round accounting.
-        report: NetworkReport,
-    },
+/// Consumes the answer to `session`'s Open: the protocol the server's
+/// Accept names.
+///
+/// # Errors
+///
+/// A refusal surfaces as `server refused: …`; anything else in the
+/// Accept's place is a peer bug.
+pub(crate) fn await_accept(
+    conn: &Arc<Conn>,
+    session: u64,
+    timeout: Duration,
+) -> Result<String, ProtocolError> {
+    match conn.wait((session, 0), deadline_after(timeout))? {
+        WireFrame::Accept { protocol, .. } => Ok(protocol),
+        WireFrame::Error { message, .. } => Err(ProtocolError::Internal(format!(
+            "server refused: {message}"
+        ))),
+        other => Err(ProtocolError::Internal(format!(
+            "expected accept, got {other:?}"
+        ))),
+    }
 }
 
 /// One session's channel over a multiplexed connection.
 #[derive(Debug)]
 pub(crate) struct RemoteChan {
+    conn: Arc<Conn>,
     session: u64,
-    writer: SharedWriter,
-    rx: Receiver<SessionEvent>,
     stats: ChannelStats,
     peer_done: bool,
     timeout: Duration,
     budget: Option<u64>,
+    /// The protocol a pinned open went ahead with, while its Accept is
+    /// still outstanding: the first event read must be that Accept.
+    pinned: Option<String>,
 }
 
 impl RemoteChan {
     pub(crate) fn new(
+        conn: Arc<Conn>,
         session: u64,
-        writer: SharedWriter,
-        rx: Receiver<SessionEvent>,
         timeout: Duration,
         budget: Option<u64>,
+        pinned: Option<String>,
     ) -> RemoteChan {
         RemoteChan {
+            conn,
             session,
-            writer,
-            rx,
             stats: ChannelStats::default(),
             peer_done: false,
             timeout,
             budget,
+            pinned,
         }
     }
 
@@ -120,14 +85,22 @@ impl RemoteChan {
         Ok(())
     }
 
-    fn next_event(&self) -> Result<SessionEvent, ProtocolError> {
-        self.rx.recv_timeout(self.timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
-        })
+    fn next_event(&mut self) -> Result<WireFrame, ProtocolError> {
+        // The Accept arrives first, in order; a pinned open checks it
+        // here instead of having waited a round trip for it.
+        if let Some(pin) = self.pinned.take() {
+            let accepted = await_accept(&self.conn, self.session, self.timeout)?;
+            if accepted != pin {
+                return Err(ProtocolError::Internal(format!(
+                    "server accepted {accepted}, request pinned {pin}"
+                )));
+            }
+        }
+        self.conn
+            .wait((self.session, 0), deadline_after(self.timeout))
     }
 
-    /// Consumes post-protocol events until the peer's [`SessionEvent::Done`].
+    /// Consumes post-protocol events until the peer's [`WireFrame::Done`].
     ///
     /// # Errors
     ///
@@ -135,22 +108,19 @@ impl RemoteChan {
     pub(crate) fn wait_done(&mut self) -> Result<(ChannelStats, Vec<u64>), ProtocolError> {
         loop {
             match self.next_event()? {
-                SessionEvent::Fin => self.peer_done = true,
-                SessionEvent::Done { stats, result } => return Ok((stats, result)),
-                SessionEvent::Error(msg) => {
+                WireFrame::Fin { .. } => self.peer_done = true,
+                WireFrame::Done { stats, result, .. } => return Ok((stats, result)),
+                WireFrame::Error { message, .. } => {
                     return Err(ProtocolError::Internal(format!(
-                        "remote peer failed: {msg}"
+                        "remote peer failed: {message}"
                     )))
                 }
-                SessionEvent::Closed => return Err(ProtocolError::ChannelClosed),
-                SessionEvent::Msg { .. } | SessionEvent::Accept(_) => {
+                WireFrame::Msg { .. } | WireFrame::Accept { .. } => {
                     return Err(ProtocolError::Internal(
                         "unexpected frame after session completion".into(),
                     ))
                 }
-                SessionEvent::MpMsg { .. }
-                | SessionEvent::MpOut { .. }
-                | SessionEvent::MpDone { .. } => {
+                _ => {
                     return Err(ProtocolError::Internal(
                         "multiparty frame on a two-party session".into(),
                     ))
@@ -177,9 +147,7 @@ impl Chan for RemoteChan {
             depth: self.stats.clock + 1,
             payload: msg,
         };
-        let mut w = self.writer.lock().expect("connection writer poisoned");
-        write_frame(&mut *w, &frame).map_err(|_| ProtocolError::ChannelClosed)?;
-        drop(w);
+        self.conn.send(&frame, true)?;
         intersect_obs::message(
             "net",
             intersect_obs::Direction::Sent,
@@ -194,7 +162,7 @@ impl Chan for RemoteChan {
             return Err(ProtocolError::ChannelClosed);
         }
         match self.next_event()? {
-            SessionEvent::Msg { depth, payload } => {
+            WireFrame::Msg { depth, payload, .. } => {
                 self.stats.clock = self.stats.clock.max(depth);
                 self.stats.bits_received += payload.len() as u64;
                 self.stats.messages_received += 1;
@@ -207,26 +175,22 @@ impl Chan for RemoteChan {
                 );
                 Ok(payload)
             }
-            SessionEvent::Fin => {
+            WireFrame::Fin { .. } => {
                 self.peer_done = true;
                 Err(ProtocolError::ChannelClosed)
             }
-            SessionEvent::Closed => Err(ProtocolError::ChannelClosed),
-            SessionEvent::Error(msg) => Err(ProtocolError::Internal(format!(
-                "remote peer failed: {msg}"
+            WireFrame::Error { message, .. } => Err(ProtocolError::Internal(format!(
+                "remote peer failed: {message}"
             ))),
-            // An Accept still queued ahead of the first message has
-            // already been consumed by the open handshake; seeing one
-            // here means a peer bug, not a transport fault.
-            SessionEvent::Accept(_) => Err(ProtocolError::Internal(
+            // The open's Accept was consumed before the first message;
+            // a second one is a peer bug, not a transport fault.
+            WireFrame::Accept { .. } => Err(ProtocolError::Internal(
                 "unexpected accept frame mid-session".into(),
             )),
-            SessionEvent::Done { .. } => Err(ProtocolError::Internal(
+            WireFrame::Done { .. } => Err(ProtocolError::Internal(
                 "peer completed while a message was expected".into(),
             )),
-            SessionEvent::MpMsg { .. }
-            | SessionEvent::MpOut { .. }
-            | SessionEvent::MpDone { .. } => Err(ProtocolError::Internal(
+            _ => Err(ProtocolError::Internal(
                 "multiparty frame on a two-party session".into(),
             )),
         }

@@ -3,7 +3,9 @@
 //! A [`NetClient`] owns one connection and multiplexes any number of
 //! concurrent sessions onto it — [`NetClient::run`] takes `&self`, so
 //! wrapping the client in an [`Arc`] and calling it from many threads
-//! drives many interleaved sessions over a single stream. The client
+//! drives many interleaved sessions over a single stream. It has no
+//! thread of its own: the calling threads read the socket themselves
+//! (`crate::mux`: whichever waits first reads for all). The client
 //! executes the Alice half of the routed protocol locally over a
 //! [`RemoteChan`], regenerating the session's inputs from the request
 //! seed exactly as the server does, and assembles the final
@@ -12,11 +14,11 @@
 //! in-process runner uses — which is what makes remote reports
 //! bit-identical to local ones (experiment E21).
 
-use crate::chan::{RemoteChan, SessionEvent, SharedWriter};
-use crate::frame::{read_frame, write_frame, WireFrame};
+use crate::chan::{await_accept, RemoteChan};
+use crate::frame::WireFrame;
 use crate::metrics;
+use crate::mux::{deadline_after, Conn, Key};
 use crate::transport::{EndpointAddr, Stream};
-use crossbeam_channel::{Receiver, Sender};
 use intersect_comm::bits::BitBuf;
 use intersect_comm::chan::Chan;
 use intersect_comm::coins::CoinSource;
@@ -30,10 +32,8 @@ use intersect_core::sets::ElementSet;
 use intersect_engine::{MultipartyRequest, PlanCache, SessionRequest};
 use intersect_multiparty::choice::{MultipartyChoice, PlayerOutput};
 use intersect_obs as obs;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The outcome of one remote session.
@@ -94,14 +94,17 @@ impl RemoteMultipartyRun {
 }
 
 /// A remote session's client-side latency waterfall: wall clock from
-/// sending the Open frame to assembling the final report, decomposed
+/// encoding the Open frame to assembling the final report, decomposed
 /// into segments that tile the span (up to 1µs truncation per segment).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientTimeline {
-    /// Open sent → server's Accept received (routing + handshake RTT).
+    /// Open encoded → protocol known. For an unpinned request that is the
+    /// server's Accept (routing + handshake round trip); a request that
+    /// pins its protocol does not wait, so this is ≈ 0 and its Accept is
+    /// consumed inside `rounds-execute`, ahead of the first reply.
     pub open_wait_micros: u64,
-    /// Accept → this half's protocol rounds finished (plan resolution,
-    /// input regeneration, and the rounds themselves).
+    /// Protocol known → this half's protocol rounds finished (plan
+    /// resolution, input regeneration, and the rounds themselves).
     pub rounds_execute_micros: u64,
     /// Rounds finished → server's Done counters received and the report
     /// assembled.
@@ -124,19 +127,13 @@ impl ClientTimeline {
     }
 }
 
-type SessionMap = Arc<Mutex<HashMap<u64, Sender<SessionEvent>>>>;
-
 /// One connection to a transport server.
 #[derive(Debug)]
 pub struct NetClient {
-    writer: SharedWriter,
-    sessions: SessionMap,
+    conn: Arc<Conn>,
     next_id: AtomicU64,
     cache: PlanCache,
     timeout: Duration,
-    stream: Stream,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    goodbye: Arc<AtomicBool>,
 }
 
 impl NetClient {
@@ -157,32 +154,38 @@ impl NetClient {
     /// Propagates connect failures.
     pub fn connect_addr(addr: &EndpointAddr) -> std::io::Result<NetClient> {
         metrics::describe_net_metrics();
-        let stream = Stream::connect(addr)?;
-        let reader_stream = stream.try_clone()?;
-        let writer_stream = stream.try_clone()?;
+        let timeout = Duration::from_secs(30);
+        // The only frame a client receives outside its sessions' inboxes
+        // and acts on is a connection-level error: every live session is
+        // affected. (Replies to sessions that already gave up are dropped.)
+        let conn = Conn::new(
+            Stream::connect(addr)?,
+            timeout,
+            Box::new(|conn, frame| {
+                if let WireFrame::Error {
+                    session: 0,
+                    message,
+                } = frame
+                {
+                    conn.broadcast_error(&message);
+                }
+                None
+            }),
+        )?;
         metrics::connection_delta(1);
-        let sessions: SessionMap = Arc::new(Mutex::new(HashMap::new()));
-        let goodbye = Arc::new(AtomicBool::new(false));
-        let reader_sessions = Arc::clone(&sessions);
-        let reader_goodbye = Arc::clone(&goodbye);
-        let reader = std::thread::spawn(move || {
-            reader_loop(reader_stream, reader_sessions, reader_goodbye);
-        });
         Ok(NetClient {
-            writer: Arc::new(Mutex::new(writer_stream)),
-            sessions,
+            conn,
             next_id: AtomicU64::new(1),
             cache: PlanCache::new(),
-            timeout: Duration::from_secs(30),
-            stream,
-            reader: Mutex::new(Some(reader)),
-            goodbye: Arc::clone(&goodbye),
+            timeout,
         })
     }
 
     /// `true` once the server has said goodbye (drain in progress).
     pub fn server_said_goodbye(&self) -> bool {
-        self.goodbye.load(Ordering::Acquire)
+        // No thread reads in the background: look at what has arrived.
+        self.conn.poll();
+        self.conn.said_goodbye()
     }
 
     /// Runs one session remotely, blocking this thread until it
@@ -243,18 +246,27 @@ impl NetClient {
             req.trace = Some(req.trace_context());
             obs::counter_add("trace_contexts_minted_total", 1);
         }
+        self.registered(0, |wire_id| self.run_registered(&req, wire_id, traced))
+    }
+
+    /// Runs `session` under a fresh wire id with its inbox open. A
+    /// session that fails flushes what it left in the write buffer (its
+    /// Fin or error report), so the server half is released at once; one
+    /// that completed has the server's outcome already, and its Fin rides
+    /// with the connection's next write.
+    fn registered<T>(
+        &self,
+        lanes: u32,
+        session: impl FnOnce(u64) -> Result<T, ProtocolError>,
+    ) -> Result<T, ProtocolError> {
         let wire_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = crossbeam_channel::unbounded();
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .insert(wire_id, tx);
+        self.conn.register(wire_id, lanes);
         metrics::session_opened();
-        let result = self.run_registered(&req, wire_id, rx, traced);
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .remove(&wire_id);
+        let result = session(wire_id);
+        self.conn.unregister(wire_id);
+        if result.is_err() {
+            self.conn.flush();
+        }
         metrics::session_closed();
         result
     }
@@ -263,40 +275,35 @@ impl NetClient {
         &self,
         req: &SessionRequest,
         wire_id: u64,
-        rx: crossbeam_channel::Receiver<SessionEvent>,
         traced: bool,
     ) -> Result<(RemoteRun, Vec<TraceEvent>, ClientTimeline), ProtocolError> {
         let opened_at = Instant::now();
-        {
-            let mut w = self.writer.lock().expect("connection writer poisoned");
-            write_frame(
-                &mut *w,
-                &WireFrame::Open {
-                    session: wire_id,
-                    line: req.to_line(),
-                },
-            )
-            .map_err(|_| ProtocolError::ChannelClosed)?;
-        }
-
-        // The open handshake: the server answers with the routed
-        // protocol before its half sends any message.
-        let choice: ProtocolChoice = match rx.recv_timeout(self.timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
-        })? {
-            SessionEvent::Accept(name) => name
+        // A control frame: it leaves with this half's first message, or
+        // when this thread first blocks.
+        self.conn.send(
+            &WireFrame::Open {
+                session: wire_id,
+                line: req.to_line(),
+            },
+            false,
+        )?;
+        let mut chan = RemoteChan::new(
+            Arc::clone(&self.conn),
+            wire_id,
+            self.timeout,
+            None,
+            req.protocol.map(|pin| pin.to_string()),
+        );
+        // The server routes a request that pins its protocol to exactly
+        // that protocol, so a pinned open goes ahead and lets the channel
+        // check the Accept when it reads it. Otherwise the handshake: the
+        // server answers with the routed protocol before its half sends
+        // any message.
+        let choice: ProtocolChoice = match req.protocol {
+            Some(pin) => pin,
+            None => await_accept(&self.conn, wire_id, self.timeout)?
                 .parse()
                 .map_err(|e: String| ProtocolError::Internal(format!("bad accept: {e}")))?,
-            SessionEvent::Error(msg) => {
-                return Err(ProtocolError::Internal(format!("server refused: {msg}")))
-            }
-            SessionEvent::Closed => return Err(ProtocolError::ChannelClosed),
-            other => {
-                return Err(ProtocolError::Internal(format!(
-                    "expected accept, got {other:?}"
-                )))
-            }
         };
 
         let accepted_at = Instant::now();
@@ -307,7 +314,6 @@ impl NetClient {
         // halves derive the pair's shared randomness from the same pure
         // `stream_session_seed(pair, stream)`.
         let coins = CoinSource::from_seed(req.coin_seed());
-        let mut chan = RemoteChan::new(wire_id, Arc::clone(&self.writer), rx, self.timeout, None);
 
         // Alice's half carries the session's scopes: every span and
         // message it emits is attributed to the session and stitched
@@ -338,10 +344,7 @@ impl NetClient {
 
         // Announce this half's end whether it succeeded or not, so the
         // server side can release the session promptly.
-        {
-            let mut w = self.writer.lock().expect("connection writer poisoned");
-            let _ = write_frame(&mut *w, &WireFrame::Fin { session: wire_id });
-        }
+        let _ = self.conn.send(&WireFrame::Fin { session: wire_id }, false);
         let executed_at = Instant::now();
         let alice = alice?;
 
@@ -393,20 +396,10 @@ impl NetClient {
         let mut req = req.clone();
         let driven = req.player.unwrap_or(0);
         req.player = Some(driven);
-        let wire_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = crossbeam_channel::unbounded();
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .insert(wire_id, tx);
-        metrics::session_opened();
-        let result = self.run_multiparty_registered(&req, driven, wire_id, rx);
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .remove(&wire_id);
-        metrics::session_closed();
-        result
+        // One inbox lane per pairwise link on top of lane 0.
+        self.registered(req.players as u32, |wire_id| {
+            self.run_multiparty_registered(&req, driven, wire_id)
+        })
     }
 
     fn run_multiparty_registered(
@@ -414,39 +407,20 @@ impl NetClient {
         req: &MultipartyRequest,
         driven: usize,
         wire_id: u64,
-        rx: crossbeam_channel::Receiver<SessionEvent>,
     ) -> Result<RemoteMultipartyRun, ProtocolError> {
-        {
-            let mut w = self.writer.lock().expect("connection writer poisoned");
-            write_frame(
-                &mut *w,
-                &WireFrame::Open {
-                    session: wire_id,
-                    line: req.to_line(),
-                },
-            )
-            .map_err(|_| ProtocolError::ChannelClosed)?;
-        }
+        self.conn.send(
+            &WireFrame::Open {
+                session: wire_id,
+                line: req.to_line(),
+            },
+            false,
+        )?;
 
         // The open handshake: the server echoes the multiparty protocol
         // before any mesh traffic flows.
-        let choice: MultipartyChoice = match rx.recv_timeout(self.timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
-        })? {
-            SessionEvent::Accept(name) => name
-                .parse()
-                .map_err(|e: String| ProtocolError::Internal(format!("bad accept: {e}")))?,
-            SessionEvent::Error(msg) => {
-                return Err(ProtocolError::Internal(format!("server refused: {msg}")))
-            }
-            SessionEvent::Closed => return Err(ProtocolError::ChannelClosed),
-            other => {
-                return Err(ProtocolError::Internal(format!(
-                    "expected accept, got {other:?}"
-                )))
-            }
-        };
+        let choice: MultipartyChoice = await_accept(&self.conn, wire_id, self.timeout)?
+            .parse()
+            .map_err(|e: String| ProtocolError::Internal(format!("bad accept: {e}")))?;
         if choice != req.choice {
             return Err(ProtocolError::Internal(format!(
                 "server accepted {choice}, requested {}",
@@ -454,29 +428,20 @@ impl NetClient {
             )));
         }
 
-        // Demux the session's event stream: per-peer payload queues feed
-        // the pairwise links (which protocols may detach onto worker
-        // threads), a control lane carries the terminal outcome. The
-        // router exits after the terminal event — or when this session
-        // unregisters and its event sender drops.
-        let mut peer_txs: Vec<Option<Sender<(u64, BitBuf)>>> =
-            (0..req.players).map(|_| None).collect();
-        let mut links: Vec<Option<RemoteLink>> = (0..req.players).map(|_| None).collect();
-        for peer in (0..req.players).filter(|&p| p != driven) {
-            let (ptx, prx) = crossbeam_channel::unbounded();
-            peer_txs[peer] = Some(ptx);
-            links[peer] = Some(RemoteLink {
-                session: wire_id,
-                peer: peer as u32,
-                writer: Arc::clone(&self.writer),
-                rx: prx,
-                clock: 0,
-                stats: ChannelStats::default(),
-                timeout: self.timeout,
-            });
-        }
-        let (ctl_tx, ctl_rx) = crossbeam_channel::unbounded();
-        std::thread::spawn(move || route_multiparty_events(rx, peer_txs, ctl_tx));
+        // Each pairwise link (which protocols may detach onto worker
+        // threads) waits on its own lane for its peer's payloads; lane 0
+        // keeps the terminal outcome.
+        let links = (0..req.players)
+            .map(|peer| {
+                (peer != driven).then(|| RemoteLink {
+                    conn: Arc::clone(&self.conn),
+                    key: (wire_id, peer as u32 + 1),
+                    clock: 0,
+                    stats: ChannelStats::default(),
+                    timeout: self.timeout,
+                })
+            })
+            .collect();
 
         // The driven player's half, over the same PartyCtx abstraction
         // the in-process mesh implements — same clock discipline, same
@@ -506,26 +471,23 @@ impl NetClient {
         // the mesh can finish and fold the session.
         let output = match local {
             Ok(out) => {
-                let mut w = self.writer.lock().expect("connection writer poisoned");
-                write_frame(
-                    &mut *w,
+                self.conn.send(
                     &WireFrame::MpOut {
                         session: wire_id,
                         intersection: out.intersection.as_ref().map(|s| s.as_slice().to_vec()),
                         verdict: out.verdict,
                     },
-                )
-                .map_err(|_| ProtocolError::ChannelClosed)?;
+                    false,
+                )?;
                 out
             }
             Err(e) => {
-                let mut w = self.writer.lock().expect("connection writer poisoned");
-                let _ = write_frame(
-                    &mut *w,
+                let _ = self.conn.send(
                     &WireFrame::Error {
                         session: wire_id,
                         message: e.to_string(),
                     },
+                    false,
                 );
                 return Err(e);
             }
@@ -533,44 +495,38 @@ impl NetClient {
 
         // Await the folded session outcome.
         loop {
-            match ctl_rx.recv_timeout(self.timeout) {
-                Ok(SessionEvent::MpDone {
+            match self.conn.wait((wire_id, 0), deadline_after(self.timeout))? {
+                WireFrame::MpDone {
                     holder,
                     result,
                     verdicts,
                     report,
-                }) => {
+                    ..
+                } => {
                     return Ok(RemoteMultipartyRun {
                         choice,
                         player: driven,
                         output,
-                        holder,
+                        holder: holder.map(|h| h as usize),
                         result: holder.map(|_| ElementSet::from_sorted(result)),
                         verdicts,
                         report,
                     })
                 }
-                Ok(SessionEvent::Error(msg)) => {
+                WireFrame::Error { message, .. } => {
                     return Err(ProtocolError::Internal(format!(
-                        "remote session failed: {msg}"
+                        "remote session failed: {message}"
                     )))
                 }
-                Ok(SessionEvent::Closed) => return Err(ProtocolError::ChannelClosed),
-                Ok(_) => continue,
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    return Err(ProtocolError::Timeout)
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(ProtocolError::ChannelClosed)
-                }
+                // Fins and stray frames carry no outcome.
+                _ => continue,
             }
         }
     }
 
     /// Tells the server this client will open no further sessions.
     pub fn goodbye(&self) {
-        let mut w = self.writer.lock().expect("connection writer poisoned");
-        let _ = write_frame(&mut *w, &WireFrame::Goodbye);
+        let _ = self.conn.send(&WireFrame::Goodbye, true);
     }
 }
 
@@ -582,10 +538,9 @@ impl NetClient {
 /// right link of the server-hosted mesh.
 #[derive(Debug)]
 struct RemoteLink {
-    session: u64,
-    peer: u32,
-    writer: SharedWriter,
-    rx: Receiver<(u64, BitBuf)>,
+    conn: Arc<Conn>,
+    /// The link's inbox lane: `(session, peer + 1)`.
+    key: Key,
     clock: u64,
     stats: ChannelStats,
     timeout: Duration,
@@ -597,23 +552,28 @@ impl Chan for RemoteLink {
         self.stats.bits_sent += bits;
         self.stats.messages_sent += 1;
         let frame = WireFrame::MpMsg {
-            session: self.session,
-            peer: self.peer,
+            session: self.key.0,
+            peer: self.key.1 - 1,
             depth: self.clock + 1,
             payload: msg,
         };
-        let mut w = self.writer.lock().expect("connection writer poisoned");
-        write_frame(&mut *w, &frame).map_err(|_| ProtocolError::ChannelClosed)?;
-        drop(w);
+        self.conn.send(&frame, true)?;
         obs::message("net", obs::Direction::Sent, bits, self.clock);
         Ok(())
     }
 
     fn recv(&mut self) -> Result<BitBuf, ProtocolError> {
-        let (depth, payload) = self.rx.recv_timeout(self.timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => ProtocolError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => ProtocolError::ChannelClosed,
-        })?;
+        let (depth, payload) = match self.conn.wait(self.key, deadline_after(self.timeout))? {
+            WireFrame::MpMsg { depth, payload, .. } => (depth, payload),
+            WireFrame::Error { message, .. } => {
+                return Err(ProtocolError::Internal(format!(
+                    "remote session failed: {message}"
+                )))
+            }
+            // Only this peer's payloads and the session's failure are
+            // routed to a link's lane.
+            _ => return Err(ProtocolError::ChannelClosed),
+        };
         self.clock = self.clock.max(depth);
         self.stats.clock = self.clock;
         let bits = payload.len() as u64;
@@ -713,124 +673,9 @@ impl PartyCtx for RemotePartyCtx {
     }
 }
 
-/// Demuxes one multiparty session's event stream: payloads to their
-/// per-peer link queues, the terminal outcome to the control lane. Runs
-/// until the terminal event or until the session unregisters (its event
-/// sender drops).
-fn route_multiparty_events(
-    rx: Receiver<SessionEvent>,
-    peer_txs: Vec<Option<Sender<(u64, BitBuf)>>>,
-    ctl: Sender<SessionEvent>,
-) {
-    while let Ok(event) = rx.recv() {
-        match event {
-            SessionEvent::MpMsg {
-                peer,
-                depth,
-                payload,
-            } => {
-                // Unknown peers are dropped; the protocol times out and
-                // surfaces the fault on its own link.
-                if let Some(Some(tx)) = peer_txs.get(peer) {
-                    let _ = tx.send((depth, payload));
-                }
-            }
-            terminal @ (SessionEvent::MpDone { .. }
-            | SessionEvent::Error(_)
-            | SessionEvent::Closed) => {
-                let _ = ctl.send(terminal);
-                break;
-            }
-            // Fins and stray two-party frames carry no mesh payload.
-            _ => {}
-        }
-    }
-}
-
 impl Drop for NetClient {
     fn drop(&mut self) {
-        self.stream.shutdown();
-        if let Some(t) = self.reader.lock().expect("reader handle poisoned").take() {
-            let _ = t.join();
-        }
+        self.conn.shutdown();
         metrics::connection_delta(-1);
-    }
-}
-
-fn reader_loop(mut stream: Stream, sessions: SessionMap, goodbye: Arc<AtomicBool>) {
-    // Any read error or clean EOF ends the loop; sessions then see Closed.
-    while let Ok(Some(frame)) = read_frame(&mut stream) {
-        let event = match frame {
-            WireFrame::Accept { session, protocol } => {
-                Some((session, SessionEvent::Accept(protocol)))
-            }
-            WireFrame::Msg {
-                session,
-                depth,
-                payload,
-            } => Some((session, SessionEvent::Msg { depth, payload })),
-            WireFrame::Fin { session } => Some((session, SessionEvent::Fin)),
-            WireFrame::Done {
-                session,
-                stats,
-                result,
-            } => Some((session, SessionEvent::Done { stats, result })),
-            WireFrame::Error { session, message } => {
-                if session == 0 {
-                    // Connection-level error: every live session
-                    // is affected.
-                    let map = sessions.lock().expect("session map poisoned");
-                    for tx in map.values() {
-                        let _ = tx.send(SessionEvent::Error(message.clone()));
-                    }
-                    None
-                } else {
-                    Some((session, SessionEvent::Error(message)))
-                }
-            }
-            WireFrame::Goodbye => {
-                goodbye.store(true, Ordering::Release);
-                None
-            }
-            WireFrame::MpMsg {
-                session,
-                peer,
-                depth,
-                payload,
-            } => Some((
-                session,
-                SessionEvent::MpMsg {
-                    peer: peer as usize,
-                    depth,
-                    payload,
-                },
-            )),
-            WireFrame::MpDone {
-                session,
-                holder,
-                result,
-                verdicts,
-                report,
-            } => Some((
-                session,
-                SessionEvent::MpDone {
-                    holder: holder.map(|h| h as usize),
-                    result,
-                    verdicts,
-                    report,
-                },
-            )),
-            // Client-role frames arriving at a client: ignore.
-            WireFrame::Open { .. } | WireFrame::MpOut { .. } => None,
-        };
-        if let Some((session, event)) = event {
-            if let Some(tx) = sessions.lock().expect("session map poisoned").get(&session) {
-                let _ = tx.send(event);
-            }
-        }
-    }
-    let map = sessions.lock().expect("session map poisoned");
-    for tx in map.values() {
-        let _ = tx.send(SessionEvent::Closed);
     }
 }

@@ -271,16 +271,28 @@ fn verdict_code(v: Option<bool>) -> u8 {
 
 /// Encodes one frame, including its length prefix.
 pub fn encode(frame: &WireFrame) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
+    let mut out = Vec::with_capacity(64);
+    encode_into(&mut out, frame);
+    out
+}
+
+/// Appends one encoded frame (length prefix included) to `out` — the
+/// form a connection's write buffer uses, so several frames share one
+/// allocation and one `write`. The prefix is reserved first and patched
+/// once the body length is known.
+pub fn encode_into(out: &mut Vec<u8>, frame: &WireFrame) {
+    let prefix_at = out.len();
+    put_u32(out, 0);
+    let body = &mut *out;
     match frame {
         WireFrame::Open { session, line } => {
             body.push(T_OPEN);
-            put_u64(&mut body, *session);
+            put_u64(body, *session);
             body.extend_from_slice(line.as_bytes());
         }
         WireFrame::Accept { session, protocol } => {
             body.push(T_ACCEPT);
-            put_u64(&mut body, *session);
+            put_u64(body, *session);
             body.extend_from_slice(protocol.as_bytes());
         }
         WireFrame::Msg {
@@ -289,13 +301,13 @@ pub fn encode(frame: &WireFrame) -> Vec<u8> {
             payload,
         } => {
             body.push(T_MSG);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *depth);
-            put_payload(&mut body, payload);
+            put_u64(body, *session);
+            put_u64(body, *depth);
+            put_payload(body, payload);
         }
         WireFrame::Fin { session } => {
             body.push(T_FIN);
-            put_u64(&mut body, *session);
+            put_u64(body, *session);
         }
         WireFrame::Done {
             session,
@@ -303,25 +315,25 @@ pub fn encode(frame: &WireFrame) -> Vec<u8> {
             result,
         } => {
             body.push(T_DONE);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, stats.bits_sent);
-            put_u64(&mut body, stats.bits_received);
-            put_u64(&mut body, stats.messages_sent);
-            put_u64(&mut body, stats.messages_received);
-            put_u64(&mut body, stats.clock);
-            put_u32(&mut body, result.len() as u32);
+            put_u64(body, *session);
+            put_u64(body, stats.bits_sent);
+            put_u64(body, stats.bits_received);
+            put_u64(body, stats.messages_sent);
+            put_u64(body, stats.messages_received);
+            put_u64(body, stats.clock);
+            put_u32(body, result.len() as u32);
             for e in result {
-                put_u64(&mut body, *e);
+                put_u64(body, *e);
             }
         }
         WireFrame::Error { session, message } => {
             body.push(T_ERROR);
-            put_u64(&mut body, *session);
+            put_u64(body, *session);
             body.extend_from_slice(message.as_bytes());
         }
         WireFrame::Goodbye => {
             body.push(T_GOODBYE);
-            put_u64(&mut body, 0);
+            put_u64(body, 0);
         }
         WireFrame::MpMsg {
             session,
@@ -330,10 +342,10 @@ pub fn encode(frame: &WireFrame) -> Vec<u8> {
             payload,
         } => {
             body.push(T_MP_MSG);
-            put_u64(&mut body, *session);
-            put_u32(&mut body, *peer);
-            put_u64(&mut body, *depth);
-            put_payload(&mut body, payload);
+            put_u64(body, *session);
+            put_u32(body, *peer);
+            put_u64(body, *depth);
+            put_payload(body, payload);
         }
         WireFrame::MpOut {
             session,
@@ -341,13 +353,13 @@ pub fn encode(frame: &WireFrame) -> Vec<u8> {
             verdict,
         } => {
             body.push(T_MP_OUT);
-            put_u64(&mut body, *session);
+            put_u64(body, *session);
             match intersection {
                 Some(elems) => {
                     body.push(1);
-                    put_u32(&mut body, elems.len() as u32);
+                    put_u32(body, elems.len() as u32);
                     for e in elems {
-                        put_u64(&mut body, *e);
+                        put_u64(body, *e);
                     }
                 }
                 None => body.push(0),
@@ -362,33 +374,31 @@ pub fn encode(frame: &WireFrame) -> Vec<u8> {
             report,
         } => {
             body.push(T_MP_DONE);
-            put_u64(&mut body, *session);
-            put_u32(&mut body, holder.unwrap_or(u32::MAX));
-            put_u32(&mut body, result.len() as u32);
+            put_u64(body, *session);
+            put_u32(body, holder.unwrap_or(u32::MAX));
+            put_u32(body, result.len() as u32);
             for e in result {
-                put_u64(&mut body, *e);
+                put_u64(body, *e);
             }
-            put_u32(&mut body, verdicts.len() as u32);
+            put_u32(body, verdicts.len() as u32);
             for v in verdicts {
                 body.push(verdict_code(*v));
             }
             debug_assert_eq!(report.bits_sent.len(), report.bits_received.len());
-            put_u32(&mut body, report.bits_sent.len() as u32);
+            put_u32(body, report.bits_sent.len() as u32);
             for b in &report.bits_sent {
-                put_u64(&mut body, *b);
+                put_u64(body, *b);
             }
             for b in &report.bits_received {
-                put_u64(&mut body, *b);
+                put_u64(body, *b);
             }
-            put_u64(&mut body, report.messages);
-            put_u64(&mut body, report.rounds);
+            put_u64(body, report.messages);
+            put_u64(body, report.rounds);
         }
     }
-    debug_assert!(body.len() as u64 <= MAX_BODY_BYTES as u64);
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
-    out
+    let len = out.len() - prefix_at - 4;
+    debug_assert!(len as u64 <= MAX_BODY_BYTES as u64);
+    out[prefix_at..prefix_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// A cursor over a frame body with bounds-checked readers.

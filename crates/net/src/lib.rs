@@ -53,6 +53,7 @@ pub mod server;
 pub mod transport;
 
 mod chan;
+mod mux;
 
 /// The commonly used surface of the transport plane.
 pub mod prelude {

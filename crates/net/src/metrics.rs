@@ -66,6 +66,11 @@ pub fn describe_net_metrics() {
 /// Records one frame crossing the process boundary in direction `dir`
 /// (`"tx"` or `"rx"`), `bytes` long on the wire.
 pub fn frame_observed(dir: &str, bytes: u64) {
+    // Building the labelled series names allocates; skip it while no
+    // subscriber would receive the increments.
+    if !obs::enabled() {
+        return;
+    }
     obs::counter_add(&labeled("net_frames_total", &[("dir", dir)]), 1);
     obs::counter_add(&labeled("net_frame_bytes_total", &[("dir", dir)]), bytes);
 }

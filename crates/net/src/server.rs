@@ -2,11 +2,12 @@
 //! concurrent sessions per connection, and runs each session's server
 //! half over the same router and plan cache the in-process engine uses.
 //!
-//! One thread accepts; one thread per connection reads and demuxes
-//! frames into per-session queues; one thread per active session runs
-//! the server (Bob) half of the routed protocol against a
-//! [`RemoteChan`]. Writes from concurrent sessions share the
-//! connection's write half under a mutex, one frame per acquisition.
+//! One thread accepts; one thread per connection waits for the
+//! connection's frames, admits each Open and runs the admitted session's
+//! server (Bob) half itself over a [`RemoteChan`]. While it is busy the
+//! connection's other sessions read the socket (see [`crate::mux`]): an
+//! Open one of them reads is admitted on the spot and run on a reused
+//! helper thread of the connection. No thread is spawned per session.
 //!
 //! Shutdown is a drain, not a drop: [`NetServer::shutdown`] stops
 //! admitting, waits for in-flight sessions to finish (bounded by the
@@ -14,16 +15,17 @@
 //! connection, and only then closes the sockets — so a SIGTERM during a
 //! burst never kills a session mid-round.
 
-use crate::chan::{RemoteChan, SessionEvent, SharedWriter};
-use crate::frame::{read_frame, write_frame, FrameError, WireFrame};
+use crate::chan::RemoteChan;
+use crate::frame::WireFrame;
 use crate::metrics;
+use crate::mux::{deadline_after, Conn, Event, Task, CONN_KEY};
 use crate::transport::{EndpointAddr, Listener, Stream};
-use crossbeam_channel::{Receiver, Sender};
 use intersect_comm::chan::Chan;
 use intersect_comm::coins::CoinSource;
 use intersect_comm::error::ProtocolError;
 use intersect_comm::net::{LinkSender, LinkSet, PlayerCtx};
 use intersect_comm::runner::Side;
+use intersect_core::prepared::PreparedProtocol;
 use intersect_core::sets::ElementSet;
 use intersect_engine::{
     route, MultipartyRequest, PairContextCache, PlanCache, RoutePolicy, SessionRequest,
@@ -79,11 +81,6 @@ pub struct NetSummary {
     pub sessions_rejected: u64,
 }
 
-struct ConnCtl {
-    writer: SharedWriter,
-    stream: Stream,
-}
-
 struct Shared {
     policy: RoutePolicy,
     cache: PlanCache,
@@ -96,7 +93,7 @@ struct Shared {
     served: AtomicU64,
     failed: AtomicU64,
     rejected: AtomicU64,
-    conns: Mutex<HashMap<u64, ConnCtl>>,
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -196,11 +193,9 @@ impl NetServer {
         // Farewell on every live connection, then unblock its reader.
         {
             let conns = self.shared.conns.lock().expect("conn registry poisoned");
-            for ctl in conns.values() {
-                if let Ok(mut w) = ctl.writer.lock() {
-                    let _ = write_frame(&mut *w, &WireFrame::Goodbye);
-                }
-                ctl.stream.shutdown();
+            for conn in conns.values() {
+                let _ = conn.send(&WireFrame::Goodbye, true);
+                conn.shutdown();
             }
         }
 
@@ -254,73 +249,49 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
         let handle = std::thread::spawn(move || {
             conn_loop(conn_id, stream, conn_shared);
         });
-        shared
-            .conn_threads
-            .lock()
-            .expect("conn threads poisoned")
-            .push(handle);
+        // Reap the threads of connections that have ended: an unjoined
+        // finished thread keeps its stack mapped until shutdown.
+        let mut threads = shared.conn_threads.lock().expect("conn threads poisoned");
+        let (finished, mut live): (Vec<_>, Vec<_>) =
+            threads.drain(..).partition(JoinHandle::is_finished);
+        for t in finished {
+            let _ = t.join();
+        }
+        live.push(handle);
+        *threads = live;
     }
     listener.cleanup();
 }
 
-type SessionMap = Arc<Mutex<HashMap<u64, Sender<SessionEvent>>>>;
-
 fn conn_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
-    let writer: SharedWriter = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => {
-            metrics::connection_delta(-1);
-            return;
-        }
+    let stray_shared = Arc::clone(&shared);
+    let stray = Box::new(move |conn: &Conn, frame| handle_stray(&stray_shared, conn, frame));
+    let Ok(conn) = Conn::new(stream, shared.timeout, stray) else {
+        metrics::connection_delta(-1);
+        return;
     };
-    if let Ok(ctl_stream) = stream.try_clone() {
-        shared.conns.lock().expect("conn registry poisoned").insert(
-            conn_id,
-            ConnCtl {
-                writer: Arc::clone(&writer),
-                stream: ctl_stream,
-            },
-        );
-    }
-    let sessions: SessionMap = Arc::new(Mutex::new(HashMap::new()));
-    let mut session_threads: Vec<JoinHandle<()>> = Vec::new();
-    let mut reader = stream;
+    conn.register(CONN_KEY.0, 0);
+    shared
+        .conns
+        .lock()
+        .expect("conn registry poisoned")
+        .insert(conn_id, Arc::clone(&conn));
 
+    // This thread is the waiter with no session: it waits (with no
+    // deadline) for sessions to run until the stream ends.
     loop {
-        match read_frame(&mut reader) {
-            Ok(Some(frame)) => {
-                handle_frame(frame, &shared, &writer, &sessions, &mut session_threads)
-            }
-            // Clean end-of-stream at a frame boundary: client is done.
-            Ok(None) => break,
-            Err(FrameError::Io(_)) | Err(FrameError::Truncated) => break,
-            // A framing violation poisons the byte stream (we can no
-            // longer find the next frame boundary): report and hang up.
-            Err(e) => {
-                let mut w = writer.lock().expect("connection writer poisoned");
-                let _ = write_frame(
-                    &mut *w,
-                    &WireFrame::Error {
-                        session: 0,
-                        message: format!("protocol violation: {e}"),
-                    },
-                );
-                break;
-            }
+        match conn.wait_event(CONN_KEY, None) {
+            Ok(Event::Run(session)) => session(&conn),
+            // A connection-level frame nothing acts on (a client's
+            // session-0 error report).
+            Ok(Event::Frame(_)) => {}
+            Err(_) => break,
         }
     }
 
-    // Whatever is still registered sees the connection close...
-    {
-        let map = sessions.lock().expect("session map poisoned");
-        for tx in map.values() {
-            let _ = tx.send(SessionEvent::Closed);
-        }
-    }
-    // ...and every session half is joined before the connection retires.
-    for t in session_threads {
-        let _ = t.join();
-    }
+    // Sessions still running saw the connection close; their threads
+    // are joined before the connection retires.
+    conn.join_helpers();
     shared
         .conns
         .lock()
@@ -329,64 +300,87 @@ fn conn_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
     metrics::connection_delta(-1);
 }
 
-fn refuse(writer: &SharedWriter, shared: &Shared, session: u64, message: String) {
-    shared.rejected.fetch_add(1, Ordering::Relaxed);
-    metrics::session_rejected();
-    obs::flight::record(obs::flight::CODE_REJECT, session, 0, 0);
-    let mut w = writer.lock().expect("connection writer poisoned");
-    let _ = write_frame(&mut *w, &WireFrame::Error { session, message });
+/// What the server does with a frame no session is registered for. Runs
+/// on the thread that read it, which still holds the connection's read
+/// role — so an admitted session's inbox exists before the next frame,
+/// possibly that session's first message, is read.
+fn handle_stray(shared: &Arc<Shared>, conn: &Conn, frame: WireFrame) -> Option<Task> {
+    let complaint = match frame {
+        WireFrame::Open { session, line } => return admit(shared, conn, session, &line),
+        WireFrame::Msg { session, .. }
+        | WireFrame::MpMsg { session, .. }
+        | WireFrame::MpOut { session, .. } => WireFrame::Error {
+            session,
+            message: format!("unknown session id {session}"),
+        },
+        // Frames only a server sends, arriving at the server: a peer
+        // bug. Answer with an error so the client can diagnose.
+        WireFrame::Accept { session, .. }
+        | WireFrame::Done { session, .. }
+        | WireFrame::MpDone { session, .. } => WireFrame::Error {
+            session,
+            message: "unexpected server-role frame".into(),
+        },
+        // A fin or an error report for a session that already completed
+        // and removed itself is a benign race; a client's farewell needs
+        // no action — the stream's EOF ends the connection.
+        WireFrame::Fin { .. } | WireFrame::Error { .. } | WireFrame::Goodbye => return None,
+    };
+    let _ = conn.send(&complaint, false);
+    None
 }
 
-fn handle_frame(
-    frame: WireFrame,
-    shared: &Arc<Shared>,
-    writer: &SharedWriter,
-    sessions: &SessionMap,
-    session_threads: &mut Vec<JoinHandle<()>>,
-) {
-    match frame {
-        WireFrame::Open { session, line } => {
-            if shared.draining.load(Ordering::Acquire) {
-                refuse(writer, shared, session, "server is draining".into());
-                return;
-            }
-            // The party-count tag on the request line is what switches
-            // an Open from the two-party path to a server-hosted mesh.
-            if is_multiparty_line(&line) {
-                open_multiparty(session, &line, shared, writer, sessions, session_threads);
-                return;
-            }
-            let req = match SessionRequest::parse_line(&line) {
-                Ok(Some(req)) => req,
-                Ok(None) => {
-                    refuse(writer, shared, session, "empty request line".into());
-                    return;
-                }
-                Err(e) => {
-                    refuse(writer, shared, session, format!("bad request: {e}"));
-                    return;
-                }
-            };
-            if sessions
-                .lock()
-                .expect("session map poisoned")
-                .contains_key(&session)
-            {
-                refuse(writer, shared, session, "session id already open".into());
-                return;
-            }
-            // Reserve a slot; opens beyond the cap are refused rather
-            // than queued so the client sees backpressure explicitly.
-            let reserved = shared
-                .active
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |a| {
-                    (a < shared.max_active as u64).then_some(a + 1)
-                })
-                .is_ok();
-            if !reserved {
-                refuse(writer, shared, session, "server at session capacity".into());
-                return;
-            }
+/// A parsed Open: the party-count tag on the request line is what
+/// switches it from the two-party path to a server-hosted mesh.
+enum Admitted {
+    Pair(SessionRequest),
+    Mesh(MultipartyRequest),
+}
+
+/// Admits one Open: parses the request line, opens the session's inbox,
+/// reserves one session slot (a whole mesh counts as one session),
+/// resolves the plan, buffers the Accept — it rides with the session's
+/// first reply — and returns the session's body. A refused Open is
+/// answered with an error frame instead.
+fn admit(shared: &Arc<Shared>, conn: &Conn, session: u64, line: &str) -> Option<Task> {
+    let refuse = |message: String| {
+        shared.rejected.fetch_add(1, Ordering::Relaxed);
+        metrics::session_rejected();
+        obs::flight::record(obs::flight::CODE_REJECT, session, 0, 0);
+        let _ = conn.send(&WireFrame::Error { session, message }, false);
+        None
+    };
+    if shared.draining.load(Ordering::Acquire) {
+        return refuse("server is draining".into());
+    }
+    let parsed = if is_multiparty_line(line) {
+        MultipartyRequest::parse_line(line).map(|req| req.map(Admitted::Mesh))
+    } else {
+        SessionRequest::parse_line(line).map(|req| req.map(Admitted::Pair))
+    };
+    let admitted = match parsed {
+        Ok(Some(admitted)) => admitted,
+        Ok(None) => return refuse("empty request line".into()),
+        Err(e) => return refuse(format!("bad request: {e}")),
+    };
+    if !conn.register(session, 0) {
+        return refuse("session id already open".into());
+    }
+    // Reserve a slot; opens beyond the cap are refused rather than
+    // queued so the client sees backpressure explicitly.
+    let reserved = shared
+        .active
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |a| {
+            (a < shared.max_active as u64).then_some(a + 1)
+        })
+        .is_ok();
+    if !reserved {
+        conn.unregister(session);
+        return refuse("server at session capacity".into());
+    }
+    metrics::session_opened();
+    let (protocol, body): (String, Task) = match admitted {
+        Admitted::Pair(req) => {
             let choice = route(&req, shared.policy);
             // A stream-tagged open (`pair=`/`stream=` on the request
             // line) goes through the pair-context cache, so remote
@@ -402,150 +396,37 @@ fn handle_frame(
                 }
                 _ => shared.cache.get_or_prepare(choice, req.spec),
             };
-            let (tx, rx) = crossbeam_channel::unbounded();
-            sessions
-                .lock()
-                .expect("session map poisoned")
-                .insert(session, tx);
-            metrics::session_opened();
-            {
-                let mut w = writer.lock().expect("connection writer poisoned");
-                if write_frame(
-                    &mut *w,
-                    &WireFrame::Accept {
-                        session,
-                        protocol: choice.to_string(),
-                    },
-                )
-                .is_err()
-                {
-                    drop(w);
-                    sessions
-                        .lock()
-                        .expect("session map poisoned")
-                        .remove(&session);
-                    shared.active.fetch_sub(1, Ordering::AcqRel);
-                    metrics::session_closed();
-                    return;
-                }
-            }
-            let run_shared = Arc::clone(shared);
-            let run_writer = Arc::clone(writer);
-            let run_sessions = Arc::clone(sessions);
-            session_threads.push(std::thread::spawn(move || {
-                let chan =
-                    RemoteChan::new(session, run_writer.clone(), rx, run_shared.timeout, None);
-                run_session(session, req, plan, chan, &run_writer, &run_shared);
-                run_sessions
-                    .lock()
-                    .expect("session map poisoned")
-                    .remove(&session);
-                run_shared.active.fetch_sub(1, Ordering::AcqRel);
-                metrics::session_closed();
-            }));
+            let shared = Arc::clone(shared);
+            (
+                choice.to_string(),
+                Box::new(move |conn| run_session(session, req, plan, conn, &shared)),
+            )
         }
-        WireFrame::Msg {
-            session,
-            depth,
-            payload,
-        } => {
-            deliver_or_refuse(
-                writer,
-                sessions,
-                session,
-                SessionEvent::Msg { depth, payload },
-            );
+        Admitted::Mesh(req) => {
+            // Warm the generation-tagged tournament plan cache: repeated
+            // opens of the same (protocol, spec, m) shape hit the cached
+            // plan exactly like engine-hosted sessions do.
+            let _plan = shared
+                .cache
+                .get_or_tournament(req.choice, req.spec, req.players);
+            let shared = Arc::clone(shared);
+            (
+                req.choice.to_string(),
+                Box::new(move |conn| run_multiparty_session(session, req, conn, &shared)),
+            )
         }
-        WireFrame::MpMsg {
-            session,
-            peer,
-            depth,
-            payload,
-        } => {
-            deliver_or_refuse(
-                writer,
-                sessions,
-                session,
-                SessionEvent::MpMsg {
-                    peer: peer as usize,
-                    depth,
-                    payload,
-                },
-            );
-        }
-        WireFrame::MpOut {
-            session,
-            intersection,
-            verdict,
-        } => {
-            deliver_or_refuse(
-                writer,
-                sessions,
-                session,
-                SessionEvent::MpOut {
-                    intersection,
-                    verdict,
-                },
-            );
-        }
-        WireFrame::Fin { session } => {
-            // A fin for a session that already completed and removed
-            // itself is a benign race, not an error.
-            if let Some(tx) = sessions.lock().expect("session map poisoned").get(&session) {
-                let _ = tx.send(SessionEvent::Fin);
-            }
-        }
-        // A client farewell: nothing to do — the stream's EOF ends the
-        // connection once its sessions drain.
-        WireFrame::Goodbye => {}
-        // Client-side error report: surface to the session if it is
-        // still live, otherwise drop it.
-        WireFrame::Error { session, message } => {
-            if let Some(tx) = sessions.lock().expect("session map poisoned").get(&session) {
-                let _ = tx.send(SessionEvent::Error(message));
-            }
-        }
-        // Frames only a server sends, arriving at the server: a peer
-        // bug. Answer with an error so the client can diagnose.
-        WireFrame::Accept { session, .. }
-        | WireFrame::Done { session, .. }
-        | WireFrame::MpDone { session, .. } => {
-            let mut w = writer.lock().expect("connection writer poisoned");
-            let _ = write_frame(
-                &mut *w,
-                &WireFrame::Error {
-                    session,
-                    message: "unexpected server-role frame".into(),
-                },
-            );
-        }
-    }
+    };
+    let _ = conn.send(&WireFrame::Accept { session, protocol }, false);
+    Some(body)
 }
 
-/// Routes one mid-session event to its session, or answers with an
-/// unknown-session error if nothing is registered under that id.
-fn deliver_or_refuse(
-    writer: &SharedWriter,
-    sessions: &SessionMap,
-    session: u64,
-    event: SessionEvent,
-) {
-    let delivered = sessions
-        .lock()
-        .expect("session map poisoned")
-        .get(&session)
-        .map(|tx| tx.send(event).is_ok())
-        .unwrap_or(false);
-    if !delivered {
-        let mut w = writer.lock().expect("connection writer poisoned");
-        let _ = write_frame(
-            &mut *w,
-            &WireFrame::Error {
-                session,
-                message: format!("unknown session id {session}"),
-            },
-        );
-    }
+/// Retires a session that ran (either kind): its last frames go out
+/// before its slot is released, so a drain never outruns them.
+fn retire(session: u64, conn: &Conn, shared: &Shared) {
+    conn.unregister(session);
+    conn.flush();
+    shared.active.fetch_sub(1, Ordering::AcqRel);
+    metrics::session_closed();
 }
 
 /// `true` iff an Open request line carries the multiparty tag — the
@@ -555,106 +436,11 @@ fn is_multiparty_line(line: &str) -> bool {
         .any(|token| matches!(token.split_once('='), Some(("players" | "mp", _))))
 }
 
-/// Admits one remote m-party session: parses the multiparty request
-/// line, reserves one session slot (the whole mesh counts as one
-/// session), warms the tournament plan cache, answers Accept, and spawns
-/// the session thread hosting the m−1 local players plus the proxy for
-/// the remotely driven one.
-fn open_multiparty(
-    session: u64,
-    line: &str,
-    shared: &Arc<Shared>,
-    writer: &SharedWriter,
-    sessions: &SessionMap,
-    session_threads: &mut Vec<JoinHandle<()>>,
-) {
-    let req = match MultipartyRequest::parse_line(line) {
-        Ok(Some(req)) => req,
-        Ok(None) => {
-            refuse(writer, shared, session, "empty request line".into());
-            return;
-        }
-        Err(e) => {
-            refuse(writer, shared, session, format!("bad request: {e}"));
-            return;
-        }
-    };
-    if sessions
-        .lock()
-        .expect("session map poisoned")
-        .contains_key(&session)
-    {
-        refuse(writer, shared, session, "session id already open".into());
-        return;
-    }
-    let reserved = shared
-        .active
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |a| {
-            (a < shared.max_active as u64).then_some(a + 1)
-        })
-        .is_ok();
-    if !reserved {
-        refuse(writer, shared, session, "server at session capacity".into());
-        return;
-    }
-    // Warm the generation-tagged tournament plan cache: repeated opens
-    // of the same (protocol, spec, m) shape hit the cached plan exactly
-    // like engine-hosted sessions do.
-    let _plan = shared
-        .cache
-        .get_or_tournament(req.choice, req.spec, req.players);
-    let (tx, rx) = crossbeam_channel::unbounded();
-    sessions
-        .lock()
-        .expect("session map poisoned")
-        .insert(session, tx);
-    metrics::session_opened();
-    {
-        let mut w = writer.lock().expect("connection writer poisoned");
-        if write_frame(
-            &mut *w,
-            &WireFrame::Accept {
-                session,
-                protocol: req.choice.to_string(),
-            },
-        )
-        .is_err()
-        {
-            drop(w);
-            sessions
-                .lock()
-                .expect("session map poisoned")
-                .remove(&session);
-            shared.active.fetch_sub(1, Ordering::AcqRel);
-            metrics::session_closed();
-            return;
-        }
-    }
-    let run_shared = Arc::clone(shared);
-    let run_writer = Arc::clone(writer);
-    let run_sessions = Arc::clone(sessions);
-    session_threads.push(std::thread::spawn(move || {
-        run_multiparty_session(session, req, rx, &run_writer, &run_shared);
-        run_sessions
-            .lock()
-            .expect("session map poisoned")
-            .remove(&session);
-        run_shared.active.fetch_sub(1, Ordering::AcqRel);
-        metrics::session_closed();
-    }));
-}
-
 /// Hosts one remote m-party session: builds the mesh, runs the m−1
 /// local player halves with inputs regenerated from the request, proxies
 /// the remotely driven player over the wire, and answers with the folded
 /// [`WireFrame::MpDone`] outcome (or an error frame).
-fn run_multiparty_session(
-    session: u64,
-    req: MultipartyRequest,
-    rx: Receiver<SessionEvent>,
-    writer: &SharedWriter,
-    shared: &Shared,
-) {
+fn run_multiparty_session(session: u64, req: MultipartyRequest, conn: &Arc<Conn>, shared: &Shared) {
     let _session_scope = obs::phase::SessionScope::enter(req.id, obs::Party::Bob);
     let span = obs::phase::span("net", "mp-session");
     let driven = req.player.unwrap_or(0);
@@ -662,7 +448,7 @@ fn run_multiparty_session(
     let mut links = LinkSet::new(req.players, req.seed, shared.timeout);
     let outcome = links.run(|pctx| {
         if pctx.id() == driven {
-            proxy_remote_player(pctx, session, &rx, writer, shared.timeout)
+            proxy_remote_player(pctx, session, conn, shared.timeout)
         } else {
             req.choice
                 .run_player(req.spec, req.tree_rounds, pctx, &sets[pctx.id()])
@@ -708,9 +494,7 @@ fn run_multiparty_session(
                 }
                 verdicts.push(out.verdict);
             }
-            let mut w = writer.lock().expect("connection writer poisoned");
-            let _ = write_frame(
-                &mut *w,
+            let _ = conn.send(
                 &WireFrame::MpDone {
                     session,
                     holder,
@@ -718,22 +502,23 @@ fn run_multiparty_session(
                     verdicts,
                     report: net.report,
                 },
+                false,
             );
         }
         Err(e) => {
             span.finish(obs::CostDelta::default());
             shared.failed.fetch_add(1, Ordering::Relaxed);
             obs::flight::record(obs::flight::CODE_FAIL, req.id, 0, 0);
-            let mut w = writer.lock().expect("connection writer poisoned");
-            let _ = write_frame(
-                &mut *w,
+            let _ = conn.send(
                 &WireFrame::Error {
                     session,
                     message: e.to_string(),
                 },
+                false,
             );
         }
     }
+    retire(session, conn, shared);
 }
 
 /// Represents the remotely driven player inside the server-hosted mesh.
@@ -751,8 +536,7 @@ fn run_multiparty_session(
 fn proxy_remote_player(
     ctx: &mut PlayerCtx,
     session: u64,
-    rx: &Receiver<SessionEvent>,
-    writer: &SharedWriter,
+    conn: &Arc<Conn>,
     timeout: Duration,
 ) -> Result<PlayerOutput, ProtocolError> {
     let m = ctx.players();
@@ -781,9 +565,8 @@ fn proxy_remote_player(
                                     depth,
                                     payload,
                                 };
-                                let mut w = writer.lock().expect("connection writer poisoned");
-                                if write_frame(&mut *w, &frame).is_err() {
-                                    failure = Some(ProtocolError::ChannelClosed);
+                                if let Err(e) = conn.send(&frame, true) {
+                                    failure = Some(e);
                                     break;
                                 }
                             }
@@ -810,12 +593,13 @@ fn proxy_remote_player(
         // Pump wire→mesh traffic until the driven player's output (or a
         // failure) arrives.
         let result = loop {
-            match rx.recv_timeout(timeout) {
-                Ok(SessionEvent::MpMsg {
+            match conn.wait((session, 0), deadline_after(timeout)) {
+                Ok(WireFrame::MpMsg {
                     peer,
                     depth,
                     payload,
-                }) => match senders.get(peer).and_then(Option::as_ref) {
+                    ..
+                }) => match senders.get(peer as usize).and_then(Option::as_ref) {
                     Some(tx) => {
                         if let Err(e) = tx.send_raw(depth, payload) {
                             break Err(e);
@@ -827,34 +611,28 @@ fn proxy_remote_player(
                         )))
                     }
                 },
-                Ok(SessionEvent::MpOut {
+                Ok(WireFrame::MpOut {
                     intersection,
                     verdict,
+                    ..
                 }) => {
                     break Ok(PlayerOutput {
                         intersection: intersection.map(ElementSet::from_sorted),
                         verdict,
                     })
                 }
-                Ok(SessionEvent::Error(msg)) => {
+                Ok(WireFrame::Error { message, .. }) => {
                     break Err(ProtocolError::Internal(format!(
-                        "remote player failed: {msg}"
+                        "remote player failed: {message}"
                     )))
                 }
-                Ok(SessionEvent::Fin) | Ok(SessionEvent::Closed) => {
-                    break Err(ProtocolError::ChannelClosed)
-                }
+                Ok(WireFrame::Fin { .. }) => break Err(ProtocolError::ChannelClosed),
                 Ok(_) => {
                     break Err(ProtocolError::Internal(
                         "unexpected frame in multiparty session".into(),
                     ))
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    break Err(ProtocolError::Timeout)
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    break Err(ProtocolError::ChannelClosed)
-                }
+                Err(e) => break Err(e),
             }
         };
         stop.store(true, Ordering::Release);
@@ -880,9 +658,8 @@ fn proxy_remote_player(
 fn run_session(
     session: u64,
     req: SessionRequest,
-    plan: std::sync::Arc<dyn intersect_core::prepared::PreparedProtocol>,
-    mut chan: RemoteChan,
-    writer: &SharedWriter,
+    plan: Arc<dyn PreparedProtocol>,
+    conn: &Arc<Conn>,
     shared: &Shared,
 ) {
     // The trace context rides the Open frame's request line; an untagged
@@ -897,6 +674,7 @@ fn run_session(
     // the pair-derived common random string with its client half and
     // with any standalone audit rerun.
     let coins = CoinSource::from_seed(req.coin_seed());
+    let mut chan = RemoteChan::new(Arc::clone(conn), session, shared.timeout, None, None);
     let result = plan.execute(&mut chan, &coins, Side::Bob, &pair.t);
     let stats = chan.stats();
     span.finish(obs::CostDelta {
@@ -913,17 +691,17 @@ fn run_session(
                 stats.bits_sent + stats.bits_received,
                 stats.clock,
             );
-            let mut w = writer.lock().expect("connection writer poisoned");
             // Fin first (the half is over, mirroring the in-process
-            // endpoint's fin-on-drop), then the counters and result.
-            let _ = write_frame(&mut *w, &WireFrame::Fin { session });
-            let _ = write_frame(
-                &mut *w,
+            // endpoint's fin-on-drop), then the counters and result;
+            // both leave in the one write `retire` flushes.
+            let _ = conn.send(&WireFrame::Fin { session }, false);
+            let _ = conn.send(
                 &WireFrame::Done {
                     session,
-                    stats: chan.stats(),
+                    stats,
                     result: out.as_slice().to_vec(),
                 },
+                false,
             );
         }
         Err(e) => {
@@ -934,14 +712,14 @@ fn run_session(
                 stats.bits_sent + stats.bits_received,
                 stats.clock,
             );
-            let mut w = writer.lock().expect("connection writer poisoned");
-            let _ = write_frame(
-                &mut *w,
+            let _ = conn.send(
                 &WireFrame::Error {
                     session,
                     message: e.to_string(),
                 },
+                false,
             );
         }
     }
+    retire(session, conn, shared);
 }

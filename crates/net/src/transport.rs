@@ -87,19 +87,6 @@ impl Stream {
         }
     }
 
-    /// A second handle to the same connection (for a reader thread).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS duplication failure.
-    pub fn try_clone(&self) -> io::Result<Stream> {
-        match self {
-            Stream::Tcp(s) => Ok(Stream::Tcp(s.try_clone()?)),
-            #[cfg(unix)]
-            Stream::Unix(s) => Ok(Stream::Unix(s.try_clone()?)),
-        }
-    }
-
     /// Shuts down both directions, unblocking any reader.
     pub fn shutdown(&self) {
         match self {
@@ -113,46 +100,74 @@ impl Stream {
         }
     }
 
-    /// Bounds blocking reads so a dead peer cannot wedge a reader
-    /// thread forever.
+    /// Bounds every blocking `read` and `write`, so a dead or stalled
+    /// peer cannot wedge a thread forever.
     ///
     /// # Errors
     ///
     /// Propagates the setsockopt failure.
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+    pub fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.set_read_timeout(dur),
+            Stream::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
             #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(dur),
+            Stream::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
         }
+    }
+
+    /// Switches the socket (reads *and* writes) between blocking and
+    /// non-blocking mode.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the ioctl failure.
+    pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(on),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_nonblocking(on),
+        }
+    }
+}
+
+// Sockets read and write through a shared reference, so one handle
+// serves the connection's reader and its writers at the same time.
+impl Read for &Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => (&*s).read(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => (&*s).write(buf),
+            #[cfg(unix)]
+            Stream::Unix(s) => (&*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
+        (&*self).read(buf)
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
+        (&*self).write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 

@@ -41,8 +41,10 @@ cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --quick
 echo "==> telemetry plane smoke"
 ./scripts/telemetry_smoke.sh
 
-echo "==> network transport smoke"
-./scripts/net_smoke.sh
+echo "==> network transport smoke (release binaries: it includes a 40000-session burst)"
+cargo build -q --release --bin intersect-serve --bin loadgen
+INTERSECT_SERVE_BIN=target/release/intersect-serve INTERSECT_LOADGEN_BIN=target/release/loadgen \
+  ./scripts/net_smoke.sh
 
 echo "==> multiparty transport + metrics smoke"
 ./scripts/multiparty_smoke.sh

@@ -83,12 +83,33 @@ grep -q '"players":4' "$tmpdir/loadgen_mp.json" \
 grep -q 'players=4' "$tmpdir/loadgen_mp.err" \
   || { echo "human summary must echo players=4"; cat "$tmpdir/loadgen_mp.err"; exit 1; }
 
+echo "==> loadgen multiplexed burst: 40000 pinned sessions, 8 workers, 1 connection"
+# Gates what the per-session server threads used to break — their
+# unjoined handles exhausted the process's memory maps near 32 000
+# sessions on one connection — and the multiplexer's two failure modes
+# under load: a frame routed before its session's inbox exists fails the
+# session (`unknown session id`), a lost hand-over of the read role
+# stalls sessions for 30 s each, far past the wall-clock bound.
+burst_started=$SECONDS
+"$LOADGEN_BIN" --endpoint "$addr" --sessions 40000 --concurrency 8 \
+  --connections 1 --k 16 --protocol trivial --json \
+  >"$tmpdir/loadgen_mux.json" 2>"$tmpdir/loadgen_mux.err"
+burst_took=$((SECONDS - burst_started))
+cat "$tmpdir/loadgen_mux.err"
+
+grep -q '"completed":40000' "$tmpdir/loadgen_mux.json" \
+  || { echo "multiplexed burst must complete all sessions:"; cat "$tmpdir/loadgen_mux.json"; exit 1; }
+grep -q '"failed":0' "$tmpdir/loadgen_mux.json" \
+  || { echo "multiplexed burst reported failures"; cat "$tmpdir/loadgen_mux.json"; exit 1; }
+(( burst_took <= 60 )) \
+  || { echo "multiplexed burst took ${burst_took}s (bound 60s; ~2s on release binaries)"; exit 1; }
+
 echo "==> SIGTERM must drain and exit cleanly"
 kill -TERM %1
 if ! wait %1; then
   echo "server exited nonzero after SIGTERM"; cat "$tmpdir/serve.err"; exit 1
 fi
-grep -q 'transport summary: connections=6 served=144 failed=0 rejected=0' \
+grep -q 'transport summary: connections=7 served=40144 failed=0 rejected=0' \
   "$tmpdir/serve.err" \
   || { echo "unexpected drain summary:"; cat "$tmpdir/serve.err"; exit 1; }
 
