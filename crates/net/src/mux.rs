@@ -15,16 +15,19 @@
 //! once, a control frame does not, and every thread flushes before it
 //! blocks (before the blocking `read`, before sleeping as a follower)
 //! and when its session ends. So an Accept rides with the first reply
-//! and Fin + Done leave in one `write`.
+//! and Fin + Done leave in one `write`. One thread writes at a time and
+//! takes along what the others encode meanwhile; while the peer does not
+//! take its bytes it reads what the peer sends, so two peers that both
+//! send more than the socket buffers hold before they receive get on.
 //!
 //! Frames nobody is registered for go to the role's *stray* handler on
 //! the reading thread, **before the read role moves on** — the server
 //! admits an Open there, so the session's inbox exists before the next
 //! frame (possibly that session's first message) is read. A task the
-//! handler returns runs on the reading thread if that thread is the
-//! connection's own ([`CONN_KEY`]), otherwise on a helper thread of the
-//! connection; helpers are reused, grow to the peak number of
-//! concurrently running tasks and are joined by [`Conn::join_helpers`].
+//! handler returns runs inside the wait of the reading thread if that
+//! thread is the connection's own ([`CONN_KEY`]), otherwise on a helper
+//! thread of the connection; helpers are reused, grow to the peak number
+//! of concurrently running tasks and are joined by [`Conn::join_helpers`].
 
 use crate::frame::{self, decode_body, FrameError, WireFrame, MAX_BODY_BYTES};
 use crate::metrics;
@@ -33,7 +36,6 @@ use crossbeam_channel::{Receiver, Sender};
 use intersect_comm::error::ProtocolError;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -52,19 +54,15 @@ pub(crate) const CONN_KEY: Key = (0, 0);
 pub(crate) type Task = Box<dyn FnOnce(&Arc<Conn>) + Send>;
 
 /// What a role does with a frame no inbox is registered for.
-pub(crate) type Stray = Box<dyn Fn(&Conn, WireFrame) -> Option<Task> + Send + Sync>;
-
-/// What a wait returns.
-pub(crate) enum Event {
-    /// A frame addressed to the waiter.
-    Frame(WireFrame),
-    /// A session to run (only ever delivered to [`CONN_KEY`]).
-    Run(Task),
-}
+pub(crate) type Stray = Box<dyn Fn(&Arc<Conn>, WireFrame) -> Option<Task> + Send + Sync>;
 
 /// Upper bound on one blocking `read`: the reader re-checks its
 /// deadline at least this often when no frame arrives at all.
 const READ_TICK: Duration = Duration::from_millis(250);
+
+/// Upper bound on one blocking `write`: a writer whose bytes the peer
+/// does not take looks this often at what the peer has sent instead.
+const WRITE_TICK: Duration = Duration::from_millis(5);
 
 /// Initial (and shrink-back) size of the read buffer.
 const READ_CHUNK: usize = 16 * 1024;
@@ -78,17 +76,36 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
+/// A `read` or `write` that timed out (would have blocked, on a
+/// non-blocking socket) or was interrupted: nothing is wrong, try again.
+fn not_yet(e: &io::Error) -> bool {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), Interrupted | TimedOut | WouldBlock)
+}
+
+/// The size, prefix included, of the frame `bytes` starts with, once its
+/// length prefix is in; an error if that is more than a frame may hold.
+fn frame_len(bytes: &[u8]) -> Result<Option<usize>, FrameError> {
+    match bytes
+        .first_chunk::<4>()
+        .map(|prefix| u32::from_le_bytes(*prefix))
+    {
+        Some(len) if len > MAX_BODY_BYTES => Err(FrameError::Oversized { len }),
+        len => Ok(len.map(|len| 4 + len as usize)),
+    }
+}
+
 #[derive(Default)]
 struct Inbox {
-    events: VecDeque<Event>,
+    frames: VecDeque<WireFrame>,
     /// Set while the owner sleeps as a follower; taken by whoever wakes it.
     sleeper: Option<Thread>,
 }
 
 impl Inbox {
     #[must_use = "the woken thread must be unparked once the lock is released"]
-    fn push(&mut self, event: Event) -> Option<Thread> {
-        self.events.push_back(event);
+    fn push(&mut self, frame: WireFrame) -> Option<Thread> {
+        self.frames.push_back(frame);
         self.sleeper.take()
     }
 }
@@ -112,17 +129,9 @@ impl ReadBuf {
     /// Decodes the next frame if the buffer holds all of it.
     fn parse(&mut self) -> Result<Option<WireFrame>, FrameError> {
         let avail = &self.buf[self.start..self.end];
-        let Some(prefix) = avail.first_chunk::<4>() else {
+        let Some(total) = frame_len(avail)?.filter(|total| *total <= avail.len()) else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*prefix);
-        if len > MAX_BODY_BYTES {
-            return Err(FrameError::Oversized { len });
-        }
-        let total = 4 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
         let frame = decode_body(&avail[4..total])?;
         self.start += total;
         metrics::frame_observed("rx", total as u64);
@@ -141,10 +150,7 @@ impl ReadBuf {
             self.end -= self.start;
             self.start = 0;
         }
-        let pending = match self.buf[..self.end].first_chunk::<4>() {
-            Some(prefix) => 4 + u32::from_le_bytes(*prefix) as usize,
-            None => 0,
-        };
+        let pending = frame_len(&self.buf[..self.end])?.unwrap_or(0);
         if pending > self.buf.len() {
             self.buf.resize(pending, 0);
         } else if self.end == 0 && self.buf.len() > 4 * READ_CHUNK {
@@ -157,19 +163,22 @@ impl ReadBuf {
                 self.end += n;
                 Ok(true)
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::Interrupted
-                        | io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(false)
-            }
+            Err(e) if not_yet(&e) => Ok(false),
             Err(e) => Err(e.into()),
         }
     }
+}
+
+/// The frames encoded and not yet written.
+#[derive(Default)]
+struct WriteBuf {
+    pending: Vec<u8>,
+    /// Set while a thread is writing: it goes on until `pending` is
+    /// empty, so what others encode meanwhile leaves with it, exactly one
+    /// thread is inside `write`, and the mutex is never held across one.
+    writing: bool,
+    /// The buffer the last write emptied, kept for its capacity.
+    spare: Vec<u8>,
 }
 
 /// The reusable helper threads of one connection.
@@ -187,11 +196,9 @@ pub(crate) struct Conn {
     state: Mutex<State>,
     /// Held by the thread that has the read role, never contended.
     rbuf: Mutex<ReadBuf>,
-    wbuf: Mutex<Vec<u8>>,
-    /// Set while `wbuf` holds control frames no write has taken yet, so
-    /// a flush with nothing to do does not queue behind a writer that is
-    /// inside its `write`.
-    unflushed: AtomicBool,
+    wbuf: Mutex<WriteBuf>,
+    /// How long a write may make no progress before the connection fails.
+    timeout: Duration,
     stray: Stray,
     helpers: Mutex<Helpers>,
 }
@@ -203,13 +210,13 @@ impl std::fmt::Debug for Conn {
 }
 
 impl Conn {
-    /// Wraps a connected stream. `timeout` bounds a blocking `write`;
-    /// a blocking `read` is bounded by [`READ_TICK`] so deadlines are
-    /// re-checked while the line is silent.
+    /// Wraps a connected stream. `timeout` bounds a write that makes no
+    /// progress; one blocking `read` or `write` is bounded by its tick.
     pub(crate) fn new(stream: Stream, timeout: Duration, stray: Stray) -> io::Result<Arc<Conn>> {
         // (A zero socket timeout is an error, not "no wait".)
         let timeout = timeout.max(Duration::from_millis(1));
-        stream.set_timeouts(Some(timeout.min(READ_TICK)), Some(timeout))?;
+        stream.set_read_timeout(Some(timeout.min(READ_TICK)))?;
+        stream.set_write_timeout(Some(timeout.min(WRITE_TICK)))?;
         let (tx, rx) = crossbeam_channel::unbounded();
         Ok(Arc::new(Conn {
             stream,
@@ -220,7 +227,7 @@ impl Conn {
                 end: 0,
             }),
             wbuf: Mutex::default(),
-            unflushed: AtomicBool::new(false),
+            timeout,
             stray,
             helpers: Mutex::new(Helpers {
                 tx: Some(tx),
@@ -263,44 +270,96 @@ impl Conn {
     /// Encodes `frame` into the write buffer and, if `flush`, writes the
     /// buffer out. Metered protocol messages flush; control frames ride
     /// with the next flush.
-    pub(crate) fn send(&self, frame: &WireFrame, flush: bool) -> Result<(), ProtocolError> {
+    pub(crate) fn send(
+        self: &Arc<Self>,
+        frame: &WireFrame,
+        flush: bool,
+    ) -> Result<(), ProtocolError> {
         let mut w = self.wbuf.lock().expect("write buffer poisoned");
-        let before = w.len();
-        frame::encode_into(&mut w, frame);
-        metrics::frame_observed("tx", (w.len() - before) as u64);
+        let before = w.pending.len();
+        frame::encode_into(&mut w.pending, frame);
+        metrics::frame_observed("tx", (w.pending.len() - before) as u64);
         if flush {
-            self.write_out(&mut w)
+            self.write_out(w, None)
         } else {
-            // Release/Acquire with `flush`: the store happens under the
-            // buffer's lock, after the bytes are in; a thread always
-            // sees its own store, and it is its own frames it must flush.
-            self.unflushed.store(true, Ordering::Release);
             Ok(())
         }
     }
 
     /// Writes out whatever is buffered. Called before a thread blocks
     /// and when a session ends.
-    pub(crate) fn flush(&self) {
-        if self.unflushed.load(Ordering::Acquire) {
-            let mut w = self.wbuf.lock().expect("write buffer poisoned");
-            let _ = self.write_out(&mut w);
+    pub(crate) fn flush(self: &Arc<Self>) {
+        let w = self.wbuf.lock().expect("write buffer poisoned");
+        let _ = self.write_out(w, None);
+    }
+
+    /// Writes until nothing is pending — unless another thread is doing
+    /// just that, which then takes these bytes along. `held` is the read
+    /// buffer of a caller that holds the read role.
+    fn write_out<'a>(
+        self: &'a Arc<Self>,
+        mut w: MutexGuard<'a, WriteBuf>,
+        mut held: Option<&mut ReadBuf>,
+    ) -> Result<(), ProtocolError> {
+        if w.writing || w.pending.is_empty() {
+            return Ok(());
+        }
+        w.writing = true;
+        let mut out = std::mem::take(&mut w.spare);
+        loop {
+            std::mem::swap(&mut out, &mut w.pending);
+            drop(w);
+            let written = self.write_all(&out, held.as_deref_mut());
+            out.clear();
+            w = self.wbuf.lock().expect("write buffer poisoned");
+            if written.is_err() || w.pending.is_empty() {
+                w.writing = false;
+                if out.capacity() <= 4 * READ_CHUNK {
+                    w.spare = out;
+                }
+                return written.map_err(|_| {
+                    // A failed or timed-out write may have torn a frame:
+                    // the byte stream is unusable from here on.
+                    w.pending.clear();
+                    self.stream.shutdown();
+                    ProtocolError::ChannelClosed
+                });
+            }
         }
     }
 
-    fn write_out(&self, w: &mut Vec<u8>) -> Result<(), ProtocolError> {
-        if w.is_empty() {
-            return Ok(());
+    /// `write_all` for the thread that holds the write role. A peer that
+    /// does not take the bytes may itself be inside a `write`, waiting
+    /// for this side to read (both halves of an exchange send before
+    /// either receives), so between attempts the writer routes what the
+    /// peer has sent — with the read role if it is free; if another
+    /// thread holds it, that thread is reading already.
+    fn write_all(
+        self: &Arc<Self>,
+        mut out: &[u8],
+        mut held: Option<&mut ReadBuf>,
+    ) -> io::Result<()> {
+        let mut stalled = None;
+        while !out.is_empty() {
+            match (&self.stream).write(out) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    out = &out[n..];
+                    stalled = None;
+                }
+                Err(e) if not_yet(&e) => {
+                    if stalled.get_or_insert_with(Instant::now).elapsed() >= self.timeout {
+                        return Err(e);
+                    }
+                    match held.as_deref_mut() {
+                        Some(rbuf) => self.drain(rbuf).map_err(|_| e)?,
+                        None => self.poll_reads(),
+                    }
+                }
+                Err(e) => return Err(e),
+            }
         }
-        self.unflushed.store(false, Ordering::Release);
-        let written = (&self.stream).write_all(w);
-        w.clear();
-        written.map_err(|_| {
-            // A failed or timed-out write may have torn a frame: the
-            // byte stream is unusable from here on.
-            self.stream.shutdown();
-            ProtocolError::ChannelClosed
-        })
+        Ok(())
     }
 
     /// Closes the socket; whoever reads next sees the end of the stream.
@@ -308,7 +367,9 @@ impl Conn {
         self.stream.shutdown();
     }
 
-    /// Waits for the next frame addressed to `key`.
+    /// Waits for the next frame addressed to `key`. On the server's
+    /// connection thread ([`CONN_KEY`]) the wait also runs the sessions
+    /// that thread admits while it reads.
     ///
     /// # Errors
     ///
@@ -320,18 +381,6 @@ impl Conn {
         key: Key,
         deadline: Option<Instant>,
     ) -> Result<WireFrame, ProtocolError> {
-        match self.wait_event(key, deadline)? {
-            Event::Frame(frame) => Ok(frame),
-            Event::Run(_) => unreachable!("tasks are delivered to the connection inbox only"),
-        }
-    }
-
-    /// [`wait`](Self::wait) for any kind of event.
-    pub(crate) fn wait_event(
-        self: &Arc<Self>,
-        key: Key,
-        deadline: Option<Instant>,
-    ) -> Result<Event, ProtocolError> {
         loop {
             let mut st = self.lock();
             let (closed, reading) = (st.closed, st.reading);
@@ -339,8 +388,8 @@ impl Conn {
                 return self.leave(st, Err(ProtocolError::ChannelClosed));
             };
             inbox.sleeper = None;
-            if let Some(event) = inbox.events.pop_front() {
-                return self.leave(st, Ok(event));
+            if let Some(frame) = inbox.frames.pop_front() {
+                return self.leave(st, Ok(frame));
             }
             if closed {
                 return Err(ProtocolError::ChannelClosed);
@@ -351,9 +400,13 @@ impl Conn {
             if !reading {
                 st.reading = true;
                 drop(st);
-                return self.read_for(key, deadline);
+                match self.read_for(key, deadline)? {
+                    Some(frame) => return Ok(frame),
+                    // It ran a session instead: wait again.
+                    None => continue,
+                }
             }
-            // Somebody else reads: sleep until an event is pushed or the
+            // Somebody else reads: sleep until a frame is pushed or the
             // role is handed over. `unpark` before `park` is not lost.
             inbox.sleeper = Some(std::thread::current());
             drop(st);
@@ -375,7 +428,7 @@ impl Conn {
             // The server's connection thread first: it has no session to
             // go back to, so under load it keeps the role and the stream
             // is read without a hand-over per frame.
-            let idle = |inbox: &Inbox| inbox.sleeper.is_some() && inbox.events.is_empty();
+            let idle = |inbox: &Inbox| inbox.sleeper.is_some() && inbox.frames.is_empty();
             let key = match st.inboxes.get(&CONN_KEY) {
                 Some(inbox) if idle(inbox) => Some(CONN_KEY),
                 _ => st.inboxes.iter().find(|(_, i)| idle(i)).map(|(k, _)| *k),
@@ -389,17 +442,23 @@ impl Conn {
         result
     }
 
-    /// Holds the read role until an event for `key` shows up, the
-    /// deadline passes or the connection ends; releases it on return.
+    /// Holds the read role until a frame for `key` shows up, the deadline
+    /// passes or the connection ends; releases it on return. `None` once
+    /// the connection thread has run a session it admitted itself.
     fn read_for(
         self: &Arc<Self>,
         key: Key,
         deadline: Option<Instant>,
-    ) -> Result<Event, ProtocolError> {
+    ) -> Result<Option<WireFrame>, ProtocolError> {
         let mut rbuf = self.rbuf.lock().expect("read buffer poisoned");
         loop {
             match self.route_buffered(&mut rbuf, key == CONN_KEY) {
-                Ok(Some(session)) => return self.release(Ok(Event::Run(session))),
+                Ok(Some(session)) => {
+                    drop(rbuf);
+                    self.release(());
+                    session(self);
+                    return Ok(None);
+                }
                 Ok(None) => {}
                 Err(e) => {
                     self.close(&e);
@@ -407,21 +466,25 @@ impl Conn {
                 }
             }
             let mut st = self.lock();
-            let Some(inbox) = st.inboxes.get_mut(&key) else {
-                drop(st);
-                return self.release(Err(ProtocolError::ChannelClosed));
-            };
-            if let Some(event) = inbox.events.pop_front() {
-                drop(st);
-                return self.release(Ok(event));
-            }
+            let next = st.inboxes.get_mut(&key).map(|i| i.frames.pop_front());
             drop(st);
+            match next {
+                None => return self.release(Err(ProtocolError::ChannelClosed)),
+                Some(Some(frame)) => return self.release(Ok(Some(frame))),
+                Some(None) => {}
+            }
             if expired(deadline) {
                 return self.release(Err(ProtocolError::Timeout));
             }
             // Nothing for this waiter yet. What is buffered for writing
-            // goes out before the `read` that may block.
-            self.flush();
+            // goes out before the `read` that may block — and a write may
+            // read while the peer keeps it waiting, so look again after one.
+            let w = self.wbuf.lock().expect("write buffer poisoned");
+            if !w.writing && !w.pending.is_empty() {
+                let _ = self.write_out(w, Some(&mut rbuf));
+                continue;
+            }
+            drop(w);
             if let Err(e) = rbuf.fill(&self.stream) {
                 self.close(&e);
                 return Err(ProtocolError::ChannelClosed);
@@ -447,7 +510,19 @@ impl Conn {
         conn_thread: bool,
     ) -> Result<Option<Task>, FrameError> {
         let mut own = None;
-        while let Some(frame) = rbuf.parse()? {
+        loop {
+            let frame = match rbuf.parse() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(own),
+                Err(e) => {
+                    // The stream ends here, but a session admitted from it
+                    // holds a slot: it runs, sees the close and retires.
+                    if let Some(session) = own {
+                        self.submit(session);
+                    }
+                    return Err(e);
+                }
+            };
             if let Some(session) = self.route(frame) {
                 // Inboxes: the connection thread's, the admitted
                 // session's, and those of sessions already running.
@@ -458,12 +533,11 @@ impl Conn {
                 }
             }
         }
-        Ok(own)
     }
 
     /// Puts one frame where it belongs. Runs on the thread holding the
     /// read role; returns the task of a session the stray handler admitted.
-    fn route(&self, frame: WireFrame) -> Option<Task> {
+    fn route(self: &Arc<Self>, frame: WireFrame) -> Option<Task> {
         let mut st = self.lock();
         let session = frame.session();
         let mut key = (session, 0);
@@ -477,12 +551,9 @@ impl Conn {
             }
             // A session's failure ends every lane of it, not only lane 0.
             WireFrame::Error { .. } => {
-                for (_, inbox) in st
-                    .inboxes
-                    .iter_mut()
-                    .filter(|(k, _)| k.0 == session && k.1 != 0)
-                {
-                    if let Some(thread) = inbox.push(Event::Frame(frame.clone())) {
+                let inboxes = st.inboxes.iter_mut();
+                for (_, inbox) in inboxes.filter(|(k, _)| k.0 == session && k.1 != 0) {
+                    if let Some(thread) = inbox.push(frame.clone()) {
                         thread.unpark();
                     }
                 }
@@ -491,7 +562,7 @@ impl Conn {
         }
         match st.inboxes.get_mut(&key) {
             Some(inbox) => {
-                let woken = inbox.push(Event::Frame(frame));
+                let woken = inbox.push(frame);
                 drop(st);
                 if let Some(thread) = woken {
                     thread.unpark();
@@ -509,11 +580,8 @@ impl Conn {
     pub(crate) fn broadcast_error(&self, message: &str) {
         let mut st = self.lock();
         for (key, inbox) in st.inboxes.iter_mut() {
-            let error = WireFrame::Error {
-                session: key.0,
-                message: message.to_owned(),
-            };
-            if let Some(thread) = inbox.push(Event::Frame(error)) {
+            let (session, message) = (key.0, message.to_owned());
+            if let Some(thread) = inbox.push(WireFrame::Error { session, message }) {
                 thread.unpark();
             }
         }
@@ -522,15 +590,10 @@ impl Conn {
     /// Marks the connection over and wakes every sleeper. A framing
     /// violation (as opposed to a dead socket) is reported to the peer
     /// first: the byte stream has lost its frame boundaries.
-    fn close(&self, why: &FrameError) {
+    fn close(self: &Arc<Self>, why: &FrameError) {
         if matches!(why, FrameError::Oversized { .. } | FrameError::Malformed(_)) {
-            let _ = self.send(
-                &WireFrame::Error {
-                    session: 0,
-                    message: format!("protocol violation: {why}"),
-                },
-                true,
-            );
+            let (session, message) = (0, format!("protocol violation: {why}"));
+            let _ = self.send(&WireFrame::Error { session, message }, true);
         }
         let mut st = self.lock();
         st.closed = true;
@@ -543,40 +606,58 @@ impl Conn {
     }
 
     /// Routes whatever the socket holds right now, without blocking and
-    /// without waiting for anything — there is no background reader, so
-    /// frames that arrive while nobody waits stay in the socket.
-    pub(crate) fn poll(self: &Arc<Self>) {
-        {
-            let mut st = self.lock();
-            if st.reading || st.closed {
-                return;
+    /// without waiting for anything. The caller holds both roles:
+    /// non-blocking mode is a property of the socket, not of one `read`,
+    /// so no other thread may be inside a `read` or a `write` meanwhile.
+    fn drain(self: &Arc<Self>, rbuf: &mut ReadBuf) -> Result<(), FrameError> {
+        let _ = self.stream.set_nonblocking(true);
+        let drained = loop {
+            // Routing between reads keeps the buffer from filling up, and
+            // what arrived ahead of the end of the stream (the server's
+            // Goodbye) is routed before the end is acted on.
+            let more = self.route_buffered(rbuf, false);
+            match more.and_then(|_| rbuf.fill(&self.stream)) {
+                Ok(true) => {}
+                end => break end.map(drop),
             }
-            st.reading = true;
-        }
-        let mut rbuf = self.rbuf.lock().expect("read buffer poisoned");
-        let read = {
-            // Non-blocking mode is a property of the socket, not of the
-            // read: writers are held off while it is on.
-            let _writers = self.wbuf.lock().expect("write buffer poisoned");
-            let _ = self.stream.set_nonblocking(true);
-            let read = loop {
-                match rbuf.fill(&self.stream) {
-                    Ok(true) => {}
-                    Ok(false) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            let _ = self.stream.set_nonblocking(false);
-            read
         };
-        // What arrived ahead of the end of the stream (the server's
-        // Goodbye) is routed before the end is acted on.
-        let routed = self.route_buffered(&mut rbuf, false);
+        let _ = self.stream.set_nonblocking(false);
+        drained
+    }
+
+    /// [`drain`](Self::drain) for a holder of the write role that does
+    /// not read already; nothing to do while another thread reads.
+    fn poll_reads(self: &Arc<Self>) {
+        let mut st = self.lock();
+        if st.reading || st.closed {
+            return;
+        }
+        st.reading = true;
+        drop(st);
+        let mut rbuf = self.rbuf.lock().expect("read buffer poisoned");
+        let drained = self.drain(&mut rbuf);
         drop(rbuf);
-        match routed.and(read) {
-            Ok(_) => self.release(()),
+        match drained {
+            Ok(()) => self.release(()),
             Err(e) => self.close(&e),
         }
+    }
+
+    /// Routes what has arrived, for a caller that waits for nothing:
+    /// there is no background reader, so frames that arrive while nobody
+    /// waits stay in the socket. Skipped while a session is writing — it
+    /// reads next.
+    pub(crate) fn poll(self: &Arc<Self>) {
+        let mut w = self.wbuf.lock().expect("write buffer poisoned");
+        if w.writing {
+            return;
+        }
+        w.writing = true;
+        drop(w);
+        self.poll_reads();
+        let mut w = self.wbuf.lock().expect("write buffer poisoned");
+        w.writing = false;
+        let _ = self.write_out(w, None);
     }
 
     /// Runs `task` on a helper thread: an idle one if there is one, a
@@ -608,5 +689,32 @@ impl Conn {
         for thread in threads {
             let _ = thread.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{EndpointAddr, Listener};
+
+    /// Both ends send more than the socket buffers hold before either
+    /// waits: each `write` finishes only if the other end reads meanwhile.
+    #[test]
+    fn writers_that_wait_for_each_other_keep_reading() {
+        let listener = Listener::bind(&EndpointAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let near = Stream::connect(&listener.local_addr()).unwrap();
+        let ends = [near, listener.accept().unwrap()].map(|stream| {
+            std::thread::spawn(move || {
+                let timeout = Duration::from_secs(20);
+                let conn = Conn::new(stream, timeout, Box::new(|_, _| None)).unwrap();
+                conn.register(1, 0);
+                let (session, line) = (1, "x".repeat(12 << 20));
+                conn.send(&WireFrame::Open { session, line }, true)
+                    .expect("send");
+                let frame = conn.wait((1, 0), deadline_after(timeout)).expect("wait");
+                assert!(matches!(frame, WireFrame::Open { line, .. } if line.len() == 12 << 20));
+            })
+        });
+        ends.into_iter().for_each(|end| end.join().unwrap());
     }
 }

@@ -18,7 +18,7 @@
 use crate::chan::RemoteChan;
 use crate::frame::WireFrame;
 use crate::metrics;
-use crate::mux::{deadline_after, Conn, Event, Task, CONN_KEY};
+use crate::mux::{deadline_after, Conn, Task, CONN_KEY};
 use crate::transport::{EndpointAddr, Listener, Stream};
 use intersect_comm::chan::Chan;
 use intersect_comm::coins::CoinSource;
@@ -265,7 +265,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
 
 fn conn_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
     let stray_shared = Arc::clone(&shared);
-    let stray = Box::new(move |conn: &Conn, frame| handle_stray(&stray_shared, conn, frame));
+    let stray = Box::new(move |conn: &Arc<Conn>, frame| handle_stray(&stray_shared, conn, frame));
     let Ok(conn) = Conn::new(stream, shared.timeout, stray) else {
         metrics::connection_delta(-1);
         return;
@@ -277,17 +277,11 @@ fn conn_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
         .expect("conn registry poisoned")
         .insert(conn_id, Arc::clone(&conn));
 
-    // This thread is the waiter with no session: it waits (with no
-    // deadline) for sessions to run until the stream ends.
-    loop {
-        match conn.wait_event(CONN_KEY, None) {
-            Ok(Event::Run(session)) => session(&conn),
-            // A connection-level frame nothing acts on (a client's
-            // session-0 error report).
-            Ok(Event::Frame(_)) => {}
-            Err(_) => break,
-        }
-    }
+    // This thread is the waiter with no session: with no deadline, until
+    // the stream ends. The sessions it admits run inside its wait; what
+    // the wait returns is a connection-level frame nothing acts on (a
+    // client's session-0 error report).
+    while conn.wait(CONN_KEY, None).is_ok() {}
 
     // Sessions still running saw the connection close; their threads
     // are joined before the connection retires.
@@ -304,7 +298,7 @@ fn conn_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
 /// on the thread that read it, which still holds the connection's read
 /// role — so an admitted session's inbox exists before the next frame,
 /// possibly that session's first message, is read.
-fn handle_stray(shared: &Arc<Shared>, conn: &Conn, frame: WireFrame) -> Option<Task> {
+fn handle_stray(shared: &Arc<Shared>, conn: &Arc<Conn>, frame: WireFrame) -> Option<Task> {
     let complaint = match frame {
         WireFrame::Open { session, line } => return admit(shared, conn, session, &line),
         WireFrame::Msg { session, .. }
@@ -337,12 +331,23 @@ enum Admitted {
     Mesh(MultipartyRequest),
 }
 
+/// One reserved session slot, released when the session's body has run —
+/// or is dropped unrun, with the connection it was read from.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::AcqRel);
+        metrics::session_closed();
+    }
+}
+
 /// Admits one Open: parses the request line, opens the session's inbox,
 /// reserves one session slot (a whole mesh counts as one session),
 /// resolves the plan, buffers the Accept — it rides with the session's
 /// first reply — and returns the session's body. A refused Open is
 /// answered with an error frame instead.
-fn admit(shared: &Arc<Shared>, conn: &Conn, session: u64, line: &str) -> Option<Task> {
+fn admit(shared: &Arc<Shared>, conn: &Arc<Conn>, session: u64, line: &str) -> Option<Task> {
     let refuse = |message: String| {
         shared.rejected.fetch_add(1, Ordering::Relaxed);
         metrics::session_rejected();
@@ -379,6 +384,7 @@ fn admit(shared: &Arc<Shared>, conn: &Conn, session: u64, line: &str) -> Option<
         return refuse("server at session capacity".into());
     }
     metrics::session_opened();
+    let slot = Slot(Arc::clone(shared));
     let (protocol, body): (String, Task) = match admitted {
         Admitted::Pair(req) => {
             let choice = route(&req, shared.policy);
@@ -396,10 +402,9 @@ fn admit(shared: &Arc<Shared>, conn: &Conn, session: u64, line: &str) -> Option<
                 }
                 _ => shared.cache.get_or_prepare(choice, req.spec),
             };
-            let shared = Arc::clone(shared);
             (
                 choice.to_string(),
-                Box::new(move |conn| run_session(session, req, plan, conn, &shared)),
+                Box::new(move |conn| run_session(session, req, plan, conn, &slot.0)),
             )
         }
         Admitted::Mesh(req) => {
@@ -409,10 +414,9 @@ fn admit(shared: &Arc<Shared>, conn: &Conn, session: u64, line: &str) -> Option<
             let _plan = shared
                 .cache
                 .get_or_tournament(req.choice, req.spec, req.players);
-            let shared = Arc::clone(shared);
             (
                 req.choice.to_string(),
-                Box::new(move |conn| run_multiparty_session(session, req, conn, &shared)),
+                Box::new(move |conn| run_multiparty_session(session, req, conn, &slot.0)),
             )
         }
     };
@@ -421,12 +425,11 @@ fn admit(shared: &Arc<Shared>, conn: &Conn, session: u64, line: &str) -> Option<
 }
 
 /// Retires a session that ran (either kind): its last frames go out
-/// before its slot is released, so a drain never outruns them.
-fn retire(session: u64, conn: &Conn, shared: &Shared) {
+/// before its body returns and releases its [`Slot`], so a drain never
+/// outruns them.
+fn retire(session: u64, conn: &Arc<Conn>) {
     conn.unregister(session);
     conn.flush();
-    shared.active.fetch_sub(1, Ordering::AcqRel);
-    metrics::session_closed();
 }
 
 /// `true` iff an Open request line carries the multiparty tag — the
@@ -518,7 +521,7 @@ fn run_multiparty_session(session: u64, req: MultipartyRequest, conn: &Arc<Conn>
             );
         }
     }
-    retire(session, conn, shared);
+    retire(session, conn);
 }
 
 /// Represents the remotely driven player inside the server-hosted mesh.
@@ -721,5 +724,5 @@ fn run_session(
             );
         }
     }
-    retire(session, conn, shared);
+    retire(session, conn);
 }

@@ -62,6 +62,17 @@ pub enum Stream {
     Unix(UnixStream),
 }
 
+/// Evaluates one socket call on whichever transport `$stream` is.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $call:expr) => {
+        match $stream {
+            Stream::Tcp($s) => $call,
+            #[cfg(unix)]
+            Stream::Unix($s) => $call,
+        }
+    };
+}
+
 impl Stream {
     /// Connects to `addr`, with `TCP_NODELAY` set on TCP so one frame
     /// means one segment — the protocols here are round-trip bound.
@@ -87,31 +98,41 @@ impl Stream {
         }
     }
 
-    /// Shuts down both directions, unblocking any reader.
-    pub fn shutdown(&self) {
+    /// A second handle to the same connection.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS duplication failure.
+    pub fn try_clone(&self) -> io::Result<Stream> {
         match self {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
+            Stream::Tcp(s) => Ok(Stream::Tcp(s.try_clone()?)),
             #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(Shutdown::Both);
-            }
+            Stream::Unix(s) => Ok(Stream::Unix(s.try_clone()?)),
         }
     }
 
-    /// Bounds every blocking `read` and `write`, so a dead or stalled
-    /// peer cannot wedge a thread forever.
+    /// Shuts down both directions, unblocking any reader.
+    pub fn shutdown(&self) {
+        let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
+    }
+
+    /// Bounds every blocking `read`, so a dead peer cannot wedge a reader
+    /// forever.
     ///
     /// # Errors
     ///
     /// Propagates the setsockopt failure.
-    pub fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
-        }
+    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        on_socket!(self, s => s.set_read_timeout(dur))
+    }
+
+    /// Bounds every blocking `write`, so a stalled peer cannot either.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the setsockopt failure.
+    pub fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        on_socket!(self, s => s.set_write_timeout(dur))
     }
 
     /// Switches the socket (reads *and* writes) between blocking and
@@ -121,11 +142,7 @@ impl Stream {
     ///
     /// Propagates the ioctl failure.
     pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(on),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(on),
-        }
+        on_socket!(self, s => s.set_nonblocking(on))
     }
 }
 
@@ -133,21 +150,13 @@ impl Stream {
 // serves the connection's reader and its writers at the same time.
 impl Read for &Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => (&*s).read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => (&*s).read(buf),
-        }
+        on_socket!(self, s => (&*s).read(buf))
     }
 }
 
 impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => (&*s).write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => (&*s).write(buf),
-        }
+        on_socket!(self, s => (&*s).write(buf))
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -22,15 +22,6 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A second handle to the same socket.
-fn dup(stream: &Stream) -> Stream {
-    match stream {
-        Stream::Tcp(s) => Stream::Tcp(s.try_clone().unwrap()),
-        #[cfg(unix)]
-        Stream::Unix(s) => Stream::Unix(s.try_clone().unwrap()),
-    }
-}
-
 fn loopback() -> EndpointAddr {
     EndpointAddr::parse("tcp:127.0.0.1:0").unwrap()
 }
@@ -168,7 +159,7 @@ fn waits_time_out_on_time_whoever_reads() {
     let mut stream = Stream::connect(server.local_addr()).unwrap();
     // A timeout that never fires must fail this test, not hang it.
     stream
-        .set_timeouts(Some(Duration::from_secs(5)), None)
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
     // Two sessions whose Bob halves wait for a first message that never
@@ -184,7 +175,7 @@ fn waits_time_out_on_time_whoever_reads() {
     }
     // Frames for somebody else (fins of long-gone sessions are dropped
     // silently) keep every blocking read short.
-    let mut writer = dup(&stream);
+    let mut writer = stream.try_clone().unwrap();
     let chatterer = std::thread::spawn(move || {
         for _ in 0..150 {
             if writer
@@ -375,7 +366,7 @@ fn scripted_then_real(
                 to.shutdown();
             })
         };
-        let down = pipe(dup(&upstream), dup(&client));
+        let down = pipe(upstream.try_clone().unwrap(), client.try_clone().unwrap());
         pipe(client, upstream).join().unwrap();
         down.join().unwrap();
     });
@@ -427,4 +418,87 @@ fn accept_contradicting_the_pin_is_an_error() {
     }
     drop(client);
     server.shutdown();
+}
+
+/// An Open and a framing violation in one `write`: the session admitted
+/// from that buffer must not keep its slot when the connection dies with
+/// it unrun — two slots, five such connections, then a real session.
+#[test]
+fn open_followed_by_garbage_releases_its_slot() {
+    let mut config = NetServerConfig::new(loopback());
+    config.max_active_sessions = 2;
+    let mut server = NetServer::start(config).unwrap();
+    for _ in 0..5 {
+        let mut stream = Stream::connect(server.local_addr()).unwrap();
+        let line = request(21, 16, Some(ProtocolChoice::Trivial)).to_line();
+        let mut bytes = encode(&WireFrame::Open { session: 1, line });
+        bytes.extend(u32::MAX.to_le_bytes()); // an oversized length prefix
+        stream.write_all(&bytes).unwrap();
+        let mut answers = Vec::new();
+        while let Ok(Some(frame)) = read_frame(&mut stream) {
+            answers.push(frame);
+        }
+        let reported = answers.iter().any(|frame| {
+            matches!(frame, WireFrame::Error { session: 0, message } if message.contains("protocol violation"))
+        });
+        assert!(reported, "{answers:?}");
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "a session slot leaked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let req = request(22, 16, Some(ProtocolChoice::Trivial));
+    assert_identical(&client.run(&req).expect("session after the leaks"), &req);
+    drop(client);
+    let summary = server.shutdown();
+    assert_eq!(summary.sessions_rejected, 0);
+    assert_eq!((summary.sessions_served, summary.sessions_failed), (1, 5));
+}
+
+/// Both halves of `basic` send their hashed sets before either receives.
+/// At this `k` each message is larger than a Unix socket's buffers, so
+/// each side's `write` can only finish if the other side reads meanwhile
+/// — with one session on the connection, the writing threads themselves.
+#[cfg(unix)]
+#[test]
+fn exchange_larger_than_the_socket_buffers_completes() {
+    let path = std::env::temp_dir().join(format!("intersect-mux-{}.sock", std::process::id()));
+    let endpoint = EndpointAddr::parse(&format!("unix:{}", path.display())).unwrap();
+    let mut server = NetServer::start(NetServerConfig::new(endpoint)).unwrap();
+    let client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    let started = Instant::now();
+    let req = request(31, 1 << 17, Some(ProtocolChoice::Basic));
+    let run = client.run(&req).expect("large exchange");
+    assert!(run.report.bits_alice.min(run.report.bits_bob) / 8 > 512 * 1024);
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "writers waited for each other"
+    );
+    assert_identical(&run, &req);
+    drop(client);
+    server.shutdown();
+}
+
+/// With no background reader, `server_said_goodbye()` routes what has
+/// arrived itself — also when the Goodbye sits behind more frames than
+/// the read buffer holds at once.
+#[test]
+fn goodbye_behind_a_backlog_is_seen() {
+    let listener = Listener::bind(&loopback()).unwrap();
+    let client = NetClient::connect(&listener.local_addr().to_string()).unwrap();
+    let mut peer = listener.accept().unwrap();
+    let mut bytes = Vec::new();
+    for session in 1..=8_000 {
+        bytes.extend(encode(&WireFrame::Fin { session }));
+    }
+    assert!(bytes.len() > 3 * 16 * 1024);
+    bytes.extend(encode(&WireFrame::Goodbye));
+    peer.write_all(&bytes).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !client.server_said_goodbye() {
+        assert!(Instant::now() < deadline, "the backlog hid the Goodbye");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
