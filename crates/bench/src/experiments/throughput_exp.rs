@@ -218,17 +218,18 @@ pub fn e20(quick: bool) -> Vec<Table> {
 }
 
 /// E23 — pair-scoped streams: correlated-randomness preprocessing and
-/// the no-rendezvous session pipeline.
+/// the unfenced session block.
 ///
-/// Two tables. E23a contrasts the 64-deep batch path (one
-/// fin-rendezvous per session) with the pair-stream path (endpoints
-/// rearm between sessions, one rendezvous per block) on three
-/// workloads: the latency-coupled handshake ping-pong, where streaming
-/// can only remove the rendezvous; the simultaneous exchange, where
-/// the directions overlap; and the one-way workload shaped like a
-/// one-message sketch stream (E13), whose sending half never blocks —
-/// the row the ≥ 2× claim against the PR-5 `runner_handshake_batch64`
-/// baseline rests on. E23b streams Newman
+/// Two tables. E23a runs three workloads in blocks of 64 sessions on
+/// one warm runner, sessions separated by a rearm only (a batch and a
+/// pair stream are this same block; they differ in where seeds come
+/// from and in presampling, neither of which this table exercises): the
+/// latency-coupled handshake ping-pong, which still blocks on the peer
+/// every session; the simultaneous exchange, where the directions
+/// overlap; and the one-way workload shaped like a one-message sketch
+/// stream (E13), whose sending half never blocks — the row the ≥ 2×
+/// claim against the PR-5 `runner_handshake_batch64` baseline rests on.
+/// E23b streams Newman
 /// private-coin sessions over one `PairRandomness` state: the Theorem
 /// 3.1 setup overhead (universe reduction + session seed) crosses the
 /// wire in session 0 only, so amortized bits/session must strictly
@@ -241,15 +242,14 @@ pub fn e23(quick: bool) -> Vec<Table> {
     let rows = throughput::amortized_samples(sessions);
 
     let mut thr = Table::new(
-        "E23a — batch vs pair-stream throughput, 64 sessions per \
-         submission (claim: removing the per-session rendezvous lets \
-         sessions pipeline as deep as their dataflow allows — the \
-         one-way sketch-shaped stream clears 2× the PR-5 batch baseline \
-         of 202,600 sessions/s; ping-pong handshake and simultaneous \
-         exchange bound what rendezvous removal buys when sessions \
-         still block on the peer)",
+        "E23a — block throughput, 64 sessions per block, no per-session \
+         rendezvous (claim: sessions pipeline as deep as their dataflow \
+         allows — the one-way sketch-shaped block clears 2× the PR-5 \
+         fenced-batch baseline of 202,600 sessions/s; ping-pong \
+         handshake and simultaneous exchange bound what an unfenced \
+         block buys when sessions still block on the peer)",
         &[
-            "workload × path",
+            "workload",
             "sessions",
             "ns/session",
             "sessions/s",

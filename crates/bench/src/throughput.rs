@@ -25,7 +25,7 @@ use intersect_comm::bits::BitBuf;
 use intersect_comm::chan::{Chan, Endpoint};
 use intersect_comm::coins::CoinSource;
 use intersect_comm::error::ProtocolError;
-use intersect_comm::runner::{run_two_party, RunConfig, SessionRunner, Side};
+use intersect_comm::runner::{run_two_party, RunConfig, SessionParts, SessionRunner, Side};
 use intersect_core::api::{execute, ProtocolChoice};
 use intersect_core::prepared::{execute_prepared, execute_prepared_batch};
 use intersect_core::sets::{InputPair, ProblemSpec};
@@ -172,15 +172,13 @@ pub struct MultipartySample {
     pub bit_identical_to_harness: bool,
 }
 
-/// One amortized-path sample: the identical 64-deep workload served
-/// with a per-session fin-rendezvous (`batch64`) or pipelined on a pair
-/// stream with rendezvous only at the block boundary (`stream64`).
+/// One amortized-path sample: a workload served in blocks of 64
+/// sessions on one warm runner, sessions separated by a rearm only.
 #[derive(Debug, Clone, Serialize)]
 pub struct AmortizedSample {
-    /// Workload × submission path: `runner_{workload}_{path}` for
-    /// workload ∈ {`handshake` (ping-pong), `exchange` (simultaneous),
-    /// `oneway` (one-message sketch shape)} and path ∈ {`batch64`,
-    /// `stream64`}.
+    /// `runner_{workload}_block64` for workload ∈ {`handshake`
+    /// (ping-pong), `exchange` (simultaneous), `oneway` (one-message
+    /// sketch shape)}.
     pub label: String,
     /// Sessions completed.
     pub sessions: u64,
@@ -216,9 +214,8 @@ pub struct AmortizedReport {
     /// The PR-5 `runner_handshake_batch64` sessions/s recorded in the
     /// committed report when the batch path landed.
     pub baseline_pr5_sessions_per_s: f64,
-    /// Batch-vs-stream throughput on the handshake (ping-pong,
-    /// latency-coupled) and exchange (simultaneous, pipelinable)
-    /// workloads.
+    /// Block throughput on the handshake (ping-pong, latency-coupled),
+    /// exchange (simultaneous, pipelinable) and one-way workloads.
     pub throughput: Vec<AmortizedSample>,
     /// Newman private-coin setup amortization over stream length.
     pub newman_setup: Vec<AmortizedBitsPoint>,
@@ -593,24 +590,22 @@ pub fn session_path(sessions: u64, count: fn() -> u64) -> Vec<SessionPathSample>
         wall,
     ));
 
-    // Batched: the identical handshake sessions in 64-deep batches over
-    // the same warm runner — one dispatch, one fin-rendezvous, and one
-    // result round-trip per 64 sessions instead of per session.
+    // Batched: the identical handshake sessions in blocks of 64 over
+    // the same warm runner — one dispatch and one job round trip per 64
+    // sessions instead of per session.
     let seeds: Vec<u64> = (0..sessions).collect();
     let a0 = count();
     let t0 = Instant::now();
     for chunk in seeds.chunks(64) {
-        let parts = runner
-            .run_batch_parts(
-                &RunConfig::with_seed(chunk[0]),
+        runner
+            .run_block(
+                &RunConfig::default(),
                 chunk,
                 |_, chan: &mut Endpoint, _: &CoinSource| handshake_alice(chan),
                 |_, chan: &mut Endpoint, _: &CoinSource| handshake_bob(chan),
+                |_, p| assert_eq!(p.alice.expect("alice half"), 0xdead_beef),
             )
             .expect("batch handshake");
-        for p in &parts {
-            assert_eq!(*p.alice.as_ref().expect("alice half"), 0xdead_beef);
-        }
     }
     let wall = t0.elapsed().as_nanos() as f64;
     out.push(session_sample(
@@ -659,15 +654,13 @@ fn exchange_half(chan: &mut dyn Chan, word: u64) -> Result<u64, ProtocolError> {
     Ok(chan.recv()?.reader().read_bits(32)?)
 }
 
-/// Batch vs stream throughput on one warm runner, 64 sessions per
-/// submission either way. The batch path pays a fin-rendezvous per
-/// session; the stream path rearms the endpoints between sessions and
-/// rendezvouses once per block, so the two halves pipeline — as deep as
-/// the workload's dataflow allows. Three workloads bound the effect:
-/// the handshake ping-pong serializes on every echo, the simultaneous
-/// exchange overlaps the directions, and the one-way workload (the
-/// shape of a one-message sketch stream, cf. E13) never blocks the
-/// sending half at all.
+/// Block throughput on one warm runner, 64 sessions per block. Sessions
+/// of a block are separated by a rearm only, so the two halves pipeline
+/// as deep as the workload's dataflow allows. Three workloads bound the
+/// effect: the handshake ping-pong serializes on every echo, the
+/// simultaneous exchange overlaps the directions, and the one-way
+/// workload (the shape of a one-message sketch stream, cf. E13) never
+/// blocks the sending half at all.
 pub fn amortized_samples(sessions: u64) -> Vec<AmortizedSample> {
     let mut runner = SessionRunner::start();
     for i in 0..64 {
@@ -681,17 +674,13 @@ pub fn amortized_samples(sessions: u64) -> Vec<AmortizedSample> {
     }
     let seeds: Vec<u64> = (0..sessions).collect();
     let mut out = Vec::new();
-    for (label, streamed, workload) in [
-        ("runner_handshake_batch64", false, "handshake"),
-        ("runner_handshake_stream64", true, "handshake"),
-        ("runner_exchange_batch64", false, "exchange"),
-        ("runner_exchange_stream64", true, "exchange"),
-        ("runner_oneway_batch64", false, "oneway"),
-        ("runner_oneway_stream64", true, "oneway"),
+    for (label, workload) in [
+        ("runner_handshake_block64", "handshake"),
+        ("runner_exchange_block64", "exchange"),
+        ("runner_oneway_block64", "oneway"),
     ] {
         let t0 = Instant::now();
         for chunk in seeds.chunks(64) {
-            let cfg = RunConfig::with_seed(chunk[0]);
             let alice = |i: usize, chan: &mut Endpoint, _: &CoinSource| match workload {
                 "handshake" => handshake_alice(chan),
                 "exchange" => exchange_half(chan, i as u64),
@@ -710,33 +699,18 @@ pub fn amortized_samples(sessions: u64) -> Vec<AmortizedSample> {
                 "exchange" => exchange_half(chan, !(i as u64)),
                 _ => Ok(chan.recv()?.reader().read_bits(32)?),
             };
-            let parts = if streamed {
-                runner.run_stream_parts(&cfg, chunk, alice, bob)
-            } else {
-                runner.run_batch_parts(&cfg, chunk, alice, bob)
-            }
-            .expect("amortized block");
-            for (i, p) in parts.iter().enumerate() {
-                match workload {
-                    "handshake" => {
-                        assert_eq!(
-                            *p.alice.as_ref().expect("alice half"),
-                            0xdead_beef,
-                            "{label}"
-                        )
-                    }
-                    "exchange" => assert_eq!(
-                        *p.alice.as_ref().expect("alice half"),
-                        !(i as u64) & 0xffff_ffff,
-                        "{label}"
-                    ),
-                    _ => assert_eq!(
-                        *p.bob.as_ref().expect("bob half"),
-                        i as u64 & 0xffff_ffff,
-                        "{label}"
-                    ),
-                }
-            }
+            let check = |i: usize, p: SessionParts<u64, u64>| match workload {
+                "handshake" => assert_eq!(p.alice.expect("alice half"), 0xdead_beef, "{label}"),
+                "exchange" => assert_eq!(
+                    p.alice.expect("alice half"),
+                    !(i as u64) & 0xffff_ffff,
+                    "{label}"
+                ),
+                _ => assert_eq!(p.bob.expect("bob half"), i as u64 & 0xffff_ffff, "{label}"),
+            };
+            runner
+                .run_block(&RunConfig::default(), chunk, alice, bob, check)
+                .expect("amortized block");
         }
         let wall = t0.elapsed().as_nanos() as f64;
         let per_sec = sessions as f64 / (wall / 1e9);

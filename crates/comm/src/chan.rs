@@ -168,53 +168,20 @@ impl Endpoint {
         let _ = self.tx.send(Frame::Fin);
     }
 
-    /// Rewinds the counters for the next session of a batch **without**
+    /// Rewinds the counters for the next session of a block **without**
     /// draining the receive queue.
     ///
-    /// Inside a batch the peer may already have raced ahead and sent the
+    /// Inside a block the peer may already have raced ahead and sent the
     /// first frames of the next session; [`reset`](Self::reset)'s drain
-    /// would swallow them. `rearm` relies on [`drain_to_fin`](Self::drain_to_fin)
-    /// having consumed the stream exactly through the previous session's
-    /// [`Frame::Fin`] separator, so everything still queued belongs to
-    /// the session being armed.
+    /// would swallow them. A session that succeeded on both sides has
+    /// consumed every frame sent in it, so everything still queued
+    /// belongs to the session being armed; after a failure the block's
+    /// job ends and the next job's `reset` drains.
     pub(crate) fn rearm(&mut self, budget: Option<u64>, timeout: Duration) {
         self.stats = ChannelStats::default();
         self.budget = budget;
         self.timeout = timeout;
         self.peer_done = false;
-    }
-
-    /// Consumes the receive stream up to and including the peer's
-    /// [`Frame::Fin`] for the current session — the batch rendezvous.
-    ///
-    /// Any unread data frames of the finished session are discarded
-    /// unmetered (the stats snapshot for the session has already been
-    /// taken), and the peer's fin is consumed so it cannot be mistaken
-    /// for a hangup in the next session. Because each side sends its fin
-    /// before any frame of the next session, FIFO ordering makes the fin
-    /// an exact session separator. If the fin was already observed by a
-    /// `recv` (as [`ProtocolError::ChannelClosed`]), the stream is
-    /// already positioned past the separator and this returns at once.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Timeout`] if the peer's fin does not arrive in
-    /// time, [`ProtocolError::ChannelClosed`] if the peer vanished;
-    /// either desynchronizes the pair and must retire the runner.
-    pub(crate) fn drain_to_fin(&mut self) -> Result<(), ProtocolError> {
-        while !self.peer_done {
-            match self.rx.recv_hot(self.timeout, self.hot) {
-                Ok(Frame::Fin) => self.peer_done = true,
-                Ok(Frame::Msg { .. }) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    return Err(ProtocolError::Timeout)
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(ProtocolError::ChannelClosed)
-                }
-            }
-        }
-        Ok(())
     }
 
     fn check_budget(&self) -> Result<(), ProtocolError> {
@@ -408,7 +375,6 @@ mod tests {
                 assert!(waited >= timeout, "{waited:?} < {timeout:?}");
                 // Slack for a descheduled test thread, not for the wait.
                 assert!(waited < timeout + HOT_WINDOW + Duration::from_millis(50));
-                assert_eq!(a.drain_to_fin().unwrap_err(), ProtocolError::Timeout);
             }
         }
     }
@@ -425,7 +391,7 @@ mod tests {
         });
         a.send(msg(6)).unwrap();
         assert_eq!(a.recv().unwrap().len(), 6);
-        a.drain_to_fin().unwrap();
+        assert_eq!(a.recv().unwrap_err(), ProtocolError::ChannelClosed);
         h.join().unwrap();
     }
 
@@ -533,40 +499,6 @@ mod tests {
             a.send(msg(10)).unwrap_err(),
             ProtocolError::BudgetExceeded { limit_bits: 16 }
         ));
-    }
-
-    #[test]
-    fn drain_to_fin_discards_residue_and_stops_at_the_separator() {
-        let (mut a, mut b) = pair();
-        a.send(msg(5)).unwrap(); // never read by b: session residue
-        a.send_fin();
-        a.rearm(None, Duration::from_secs(5));
-        a.send(msg(9)).unwrap(); // first frame of the *next* session
-
-        let before = b.stats();
-        b.drain_to_fin().unwrap();
-        // Residue and fin are unmetered …
-        assert_eq!(b.stats(), before);
-        // … and the next session's frame survives the drain.
-        b.rearm(None, Duration::from_secs(5));
-        assert_eq!(b.recv().unwrap().len(), 9);
-        assert_eq!(b.stats().bits_received, 9);
-        assert_eq!(b.stats().clock, 1);
-    }
-
-    #[test]
-    fn drain_to_fin_is_a_no_op_after_recv_observed_the_fin() {
-        let (a, mut b) = pair();
-        a.send_fin();
-        assert_eq!(b.recv().unwrap_err(), ProtocolError::ChannelClosed);
-        // The fin was consumed by recv; the drain must not wait for another.
-        b.drain_to_fin().unwrap();
-    }
-
-    #[test]
-    fn drain_to_fin_times_out_on_a_silent_peer() {
-        let (mut a, _b) = Endpoint::pair(None, Duration::from_millis(10));
-        assert_eq!(a.drain_to_fin().unwrap_err(), ProtocolError::Timeout);
     }
 
     #[test]

@@ -68,8 +68,7 @@ pub mod prelude {
     pub use crate::net::{run_network, NetOutcome, NetworkConfig, PlayerCtx};
     pub use crate::pool::SpillPool;
     pub use crate::runner::{
-        assemble_report, linked_pair, run_two_party, RunConfig, RunOutcome, SessionParts,
-        SessionRunner, Side,
+        assemble_report, run_two_party, RunConfig, RunOutcome, SessionParts, SessionRunner, Side,
     };
     pub use crate::stats::{ChannelStats, CostReport, NetworkReport};
 }

@@ -20,9 +20,11 @@ use crate::bits::BitBuf;
 use crate::chan::Chan;
 use crate::coins::CoinSource;
 use crate::error::ProtocolError;
+use crate::runner::contained_error;
 use crate::stats::{ChannelStats, NetworkReport};
 use crossbeam_channel::{Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -567,6 +569,9 @@ pub struct LinkSet {
     players: usize,
     timeout: Duration,
     ctxs: Vec<PlayerCtx>,
+    /// A player panicked in the last run: whatever it was holding is
+    /// suspect, so the next `reset` rebuilds the mesh.
+    panicked: bool,
 }
 
 impl LinkSet {
@@ -627,6 +632,7 @@ impl LinkSet {
             players,
             timeout,
             ctxs,
+            panicked: false,
         }
     }
 
@@ -649,10 +655,11 @@ impl LinkSet {
     /// Re-arms the mesh for the next session: coins re-seeded from
     /// `seed`, all counters, clocks, and per-link stats zeroed, stale
     /// in-flight frames drained. A mesh that lost links to a failed
-    /// session (`!intact()`) is rebuilt outright, so `reset` always
-    /// leaves the state of a fresh [`LinkSet::new`].
+    /// session (`!intact()`) or hosted a panicking player is rebuilt
+    /// outright, so `reset` always leaves the state of a fresh
+    /// [`LinkSet::new`].
     pub fn reset(&mut self, seed: u64) {
-        if !self.intact() {
+        if !self.intact() || self.panicked {
             *self = LinkSet::new(self.players, seed, self.timeout);
             return;
         }
@@ -676,30 +683,43 @@ impl LinkSet {
     /// # Errors
     ///
     /// Fails if any player returns an error; primary failures are
-    /// preferred over the secondary hangups/timeouts they cause.
+    /// preferred over the secondary hangups/timeouts they cause. A player
+    /// that *panics* is contained like a two-party half: the run fails
+    /// with [`ProtocolError::Internal`] and costs one session.
     pub fn run<F, R>(&mut self, behavior: F) -> Result<NetOutcome<R>, ProtocolError>
     where
         F: Fn(&mut PlayerCtx) -> Result<R, ProtocolError> + Sync,
         R: Send,
     {
         let m = self.players;
-        let behavior = &behavior;
+        let (behavior, panicked) = (&behavior, &AtomicBool::new(false));
         let results: Vec<(Result<R, ProtocolError>, ChannelStats)> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .ctxs
                 .iter_mut()
                 .map(|ctx| {
                     scope.spawn(move || {
-                        let r = behavior(ctx);
+                        let r = catch_unwind(AssertUnwindSafe(|| behavior(ctx)));
+                        let r = r.unwrap_or_else(|payload| {
+                            panicked.store(true, Ordering::Relaxed);
+                            Err(contained_error(
+                                format_args!("player {}", ctx.id()),
+                                payload,
+                            ))
+                        });
                         (r, ctx.stats())
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("player panicked"))
+                .map(|h| {
+                    h.join()
+                        .expect("a player's panic is caught inside its thread")
+                })
                 .collect()
         });
+        self.panicked = panicked.load(Ordering::Relaxed);
 
         let mut report = NetworkReport {
             bits_sent: Vec::with_capacity(m),
@@ -916,13 +936,29 @@ mod tests {
             }
         };
         let fresh = run_network(&NetworkConfig::new(4, 9), behavior).unwrap();
-        let mut set = LinkSet::new(4, 1, Duration::from_secs(5));
-        set.run(behavior).unwrap();
-        set.reset(9);
-        let reused = set.run(behavior).unwrap();
-        assert_eq!(reused.outputs, fresh.outputs);
-        assert_eq!(reused.report, fresh.report);
-        assert!(set.intact());
+        // What the mesh served before must not show: a clean session, or
+        // one in which player 1 panicked — contained, so it costs that
+        // session only (its peers time out on the short link timeout).
+        for spoiled in [false, true] {
+            let mut set = LinkSet::new(4, 1, Duration::from_millis(200));
+            let before = set.run(|ctx| {
+                if spoiled && ctx.id() == 1 {
+                    panic!("player one explodes");
+                }
+                behavior(ctx)
+            });
+            if spoiled {
+                let why = "player 1 panicked: player one explodes".to_string();
+                assert_eq!(before.unwrap_err(), ProtocolError::Internal(why));
+            } else {
+                before.unwrap();
+            }
+            set.reset(9);
+            let reused = set.run(behavior).unwrap();
+            assert_eq!(reused.outputs, fresh.outputs, "spoiled: {spoiled}");
+            assert_eq!(reused.report, fresh.report, "spoiled: {spoiled}");
+            assert!(set.intact());
+        }
     }
 
     #[test]

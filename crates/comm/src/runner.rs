@@ -8,7 +8,9 @@
 //! * [`SessionRunner`] — the amortized API: one long-lived paired
 //!   thread and one reusable channel pair serve any number of sessions
 //!   back to back, with no thread spawn and no channel construction per
-//!   session. This is what the engine's worker pool uses.
+//!   session. This is what the engine's worker pool uses. It runs
+//!   *blocks* of sessions ([`SessionRunner::run_block`]); a single
+//!   session is the block of one.
 
 use crate::chan::{Chan, Endpoint};
 use crate::coins::CoinSource;
@@ -16,6 +18,7 @@ use crate::error::ProtocolError;
 use crate::stats::{ChannelStats, CostReport};
 use crossbeam_channel::{Hot, Receiver, Sender};
 use std::any::Any;
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -93,42 +96,9 @@ impl Default for RunConfig {
     }
 }
 
-/// Builds the substrate of one two-party session: a connected endpoint
-/// pair and the common random string, from one configuration.
-///
-/// This is the single place where a session's transport and randomness
-/// are constructed. [`run_two_party`] uses it, and so does any harness
-/// that schedules the two halves itself (e.g. a worker pool running many
-/// sessions concurrently): going through the same constructor guarantees
-/// that a scheduled session is bit-for-bit identical to a dedicated
-/// [`run_two_party`] call with the same config.
-///
-/// # Examples
-///
-/// ```
-/// use intersect_comm::runner::{linked_pair, RunConfig};
-/// use intersect_comm::chan::Chan;
-/// use intersect_comm::bits::BitBuf;
-///
-/// let (mut a, mut b, coins) = linked_pair(&RunConfig::with_seed(9));
-/// let mut m = BitBuf::new();
-/// m.push_bits(0b110, 3);
-/// a.send(m)?;
-/// assert_eq!(b.recv()?.len(), 3);
-/// assert_eq!(coins, intersect_comm::coins::CoinSource::from_seed(9));
-/// # Ok::<(), intersect_comm::error::ProtocolError>(())
-/// ```
-pub fn linked_pair(cfg: &RunConfig) -> (Endpoint, Endpoint, CoinSource) {
-    let (ep_a, ep_b) = Endpoint::pair(cfg.bit_budget, cfg.timeout);
-    (ep_a, ep_b, CoinSource::from_seed(cfg.seed))
-}
-
 /// Assembles the cost of one two-party run from the two endpoints' final
 /// counters, exactly as [`run_two_party`] reports it.
-pub fn assemble_report(
-    stats_alice: crate::stats::ChannelStats,
-    stats_bob: crate::stats::ChannelStats,
-) -> CostReport {
+pub fn assemble_report(stats_alice: ChannelStats, stats_bob: ChannelStats) -> CostReport {
     CostReport {
         bits_alice: stats_alice.bits_sent,
         bits_bob: stats_bob.bits_sent,
@@ -199,23 +169,18 @@ where
     A: Send,
     B: Send,
 {
-    let (mut ep_a, mut ep_b, coins) = linked_pair(cfg);
+    let (mut ep_a, mut ep_b) = Endpoint::pair(cfg.bit_budget, cfg.timeout);
+    let coins = CoinSource::from_seed(cfg.seed);
     let coins_b = coins.clone();
 
     let (res_a, res_b, stats_a, stats_b) = std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let _pool = ep_b.pool().clone().install();
-            let r = contain(
-                Side::Bob,
-                catch_unwind(AssertUnwindSafe(|| bob(&mut ep_b, &coins_b))),
-            );
+            let r = contained(Side::Bob, || bob(&mut ep_b, &coins_b));
             (r, ep_b.stats())
         });
         let _pool = ep_a.pool().clone().install();
-        let res_a = contain(
-            Side::Alice,
-            catch_unwind(AssertUnwindSafe(|| alice(&mut ep_a, &coins))),
-        );
+        let res_a = contained(Side::Alice, || alice(&mut ep_a, &coins));
         let stats_a = ep_a.stats();
         // Drop Alice's endpoint so a blocked Bob sees a hangup rather than a
         // timeout if Alice failed early.
@@ -253,7 +218,7 @@ pub fn primary_error(ea: ProtocolError, eb: ProtocolError) -> ProtocolError {
 }
 
 /// Renders a caught panic payload as the contained [`ProtocolError`].
-fn contained_error(side: Side, payload: Box<dyn Any + Send>) -> ProtocolError {
+pub(crate) fn contained_error(who: impl Display, payload: Box<dyn Any + Send>) -> ProtocolError {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         *s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -261,29 +226,17 @@ fn contained_error(side: Side, payload: Box<dyn Any + Send>) -> ProtocolError {
     } else {
         "non-string panic payload"
     };
-    ProtocolError::Internal(format!("{side} panicked: {msg}"))
+    ProtocolError::Internal(format!("{who} panicked: {msg}"))
 }
 
-/// Recovers Bob's concrete result from the worker's type-erased report.
-fn downcast_bob<B: 'static>(
-    res: Result<Box<dyn Any + Send>, ProtocolError>,
-) -> Result<B, ProtocolError> {
-    res.map(|b| {
-        *b.downcast::<B>()
-            .expect("bob's type-erased result matches FB's return type")
-    })
-}
-
-/// Collapses a [`catch_unwind`] result: a panicking protocol half
-/// becomes an ordinary [`ProtocolError::Internal`] failure.
-fn contain<T>(
-    side: Side,
-    caught: Result<Result<T, ProtocolError>, Box<dyn Any + Send>>,
+/// Runs one protocol half with its panics contained: a panicking half
+/// becomes an ordinary [`ProtocolError::Internal`] failure naming `who`.
+pub fn contained<T>(
+    who: impl Display,
+    half: impl FnOnce() -> Result<T, ProtocolError>,
 ) -> Result<T, ProtocolError> {
-    match caught {
-        Ok(r) => r,
-        Err(payload) => Err(contained_error(side, payload)),
-    }
+    catch_unwind(AssertUnwindSafe(half))
+        .unwrap_or_else(|payload| Err(contained_error(who, payload)))
 }
 
 /// Both halves' individual results plus the session's exact cost —
@@ -318,56 +271,72 @@ impl<A, B> SessionParts<A, B> {
     }
 }
 
-/// Bob's half, type-erased so one worker thread can serve sessions of
-/// any result type.
-type BobFn = Box<
-    dyn FnOnce(&mut Endpoint, &CoinSource) -> Result<Box<dyn Any + Send>, ProtocolError> + Send,
->;
+/// Bob's result with its type erased, so one paired thread can serve
+/// sessions of any result type.
+type Erased = Result<Box<dyn Any + Send>, ProtocolError>;
 
-/// Bob's halves for a batch. The first argument is the session's index
-/// within its batch.
-type BatchBobFn = Box<
-    dyn FnMut(usize, &mut Endpoint, &CoinSource) -> Result<Box<dyn Any + Send>, ProtocolError>
-        + Send,
->;
-
-/// What one job asks the worker thread to run.
-///
-/// `Single` is kept distinct from a one-element `Batch` deliberately:
-/// the single-session hot path stays free of per-session heap
-/// allocations (no coin vector, no result vector — a zero-sized Bob
-/// closure boxes for free), which the steady-state no-alloc test pins.
-enum JobKind {
-    /// One session: Bob's half and its coin source.
-    Single(CoinSource, BobFn),
-    /// Back-to-back sessions separated by fin rendezvous, one coin
-    /// source each.
-    Batch(Vec<CoinSource>, BatchBobFn),
-    /// Pipelined sessions with **no** per-session rendezvous: counters
-    /// rearm between sessions but neither side waits for the other, so
-    /// a side can run ahead and amortize wakeups over many sessions.
-    /// One fin each way closes the whole stream.
-    Stream(Vec<CoinSource>, BatchBobFn),
+/// Bob's halves of one block, type-erased. Running a session consumes
+/// the box and hands it back if it can serve another one — so a block of
+/// one carries a plain `FnOnce`, and a zero-sized closure costs no heap
+/// allocation either way (`no_alloc_steady.rs`). Panics are contained
+/// inside, where the box is still owned.
+trait BobHalves: Send {
+    fn run(self: Box<Self>, session: usize, ep: &mut Endpoint, coins: &CoinSource) -> Ran;
 }
 
-struct Job {
-    budget: Option<u64>,
-    timeout: Duration,
-    kind: JobKind,
+/// Bob's result of one session, and his halves if they can run another.
+type Ran = (Erased, Option<Box<dyn BobHalves>>);
+
+fn erase<B: Send + 'static>(b: B) -> Box<dyn Any + Send> {
+    Box::new(b)
+}
+
+/// The one half of a block of one.
+struct Once<F>(F);
+
+impl<F, B> BobHalves for Once<F>
+where
+    F: FnOnce(&mut Endpoint, &CoinSource) -> Result<B, ProtocolError> + Send + 'static,
+    B: Send + 'static,
+{
+    fn run(self: Box<Self>, _session: usize, ep: &mut Endpoint, coins: &CoinSource) -> Ran {
+        let half = self.0;
+        (contained(Side::Bob, || half(ep, coins)).map(erase), None)
+    }
+}
+
+/// One closure serving every session of a block by index.
+impl<F, B> BobHalves for F
+where
+    F: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<B, ProtocolError> + Send + 'static,
+    B: Send + 'static,
+{
+    fn run(mut self: Box<Self>, session: usize, ep: &mut Endpoint, coins: &CoinSource) -> Ran {
+        let res = contained(Side::Bob, || self(session, ep, coins)).map(erase);
+        (res, Some(self))
+    }
 }
 
 /// Bob's type-erased result and his endpoint's final stats for one
 /// session.
-type SessionDone = (Result<Box<dyn Any + Send>, ProtocolError>, ChannelStats);
+type SessionDone = (Erased, ChannelStats);
 
-/// What the worker thread reports back after each job. A `Batch` report
-/// is shorter than the batch if the worker lost rendezvous mid-batch.
-enum Done {
-    Single(SessionDone),
-    Batch(Vec<SessionDone>),
-    /// Stream results plus whether the worker finished every session
-    /// and saw the peer's closing fin (`clean`).
-    Stream(Vec<SessionDone>, bool),
+/// A block of sessions (or the rest of one) on its way to the paired
+/// thread, which fills `done` and sends the same job back: the two
+/// buffers and Bob's halves make the round trip, so a warm runner
+/// allocates nothing per job and a block can go on after a failure.
+struct Job {
+    budget: Option<u64>,
+    timeout: Duration,
+    /// One seed per session of the block: session `i`'s common random
+    /// string is `CoinSource::from_seed(seeds[i])` on both sides.
+    seeds: Vec<u64>,
+    /// The session this job starts at.
+    first: usize,
+    bob: Option<Box<dyn BobHalves>>,
+    /// Bob's results for sessions `first..`, ending with his first
+    /// failure if he had one.
+    done: Vec<SessionDone>,
 }
 
 /// A reusable two-party session executor: one long-lived paired thread
@@ -381,9 +350,9 @@ enum Done {
 /// error tie-break, panic containment on both halves — but steady-state
 /// reuse leaves only the per-session job hand-off.
 ///
-/// Between sessions the endpoints are [reset](Endpoint) to fresh-pair
+/// Between jobs the endpoints are [reset](Endpoint) to fresh-pair
 /// state, and an internal ready handshake orders the resets so no frame
-/// of a new session can be mistaken for residue of the previous one.
+/// of a new job can be mistaken for residue of the previous one.
 ///
 /// # Examples
 ///
@@ -411,15 +380,17 @@ pub struct SessionRunner {
     ep_a: Endpoint,
     job_tx: Option<Sender<Job>>,
     ready_rx: Receiver<()>,
-    done_rx: Receiver<Done>,
+    done_rx: Receiver<Job>,
     handle: Option<JoinHandle<()>>,
-    broken: bool,
+    /// The idle job's buffers, kept warm between blocks.
+    seeds: Vec<u64>,
+    done: Vec<SessionDone>,
 }
 
 impl std::fmt::Debug for SessionRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionRunner")
-            .field("broken", &self.broken)
+            .field("broken", &self.is_broken())
             .finish_non_exhaustive()
     }
 }
@@ -431,75 +402,41 @@ impl SessionRunner {
         let (ep_a, mut ep_b) = Endpoint::pair(None, Duration::from_secs(30));
         let (job_tx, job_rx) = crossbeam_channel::unbounded::<Job>();
         let (ready_tx, ready_rx) = crossbeam_channel::unbounded::<()>();
-        let (done_tx, done_rx) = crossbeam_channel::unbounded();
+        let (done_tx, done_rx) = crossbeam_channel::unbounded::<Job>();
         let handle = std::thread::spawn(move || {
             let _pool = ep_b.pool().clone().install();
             // This thread serves the one that holds the runner. Between
             // jobs it sleeps at once: the core it leaves is where the
             // threads that produce the next job (the engine's dispatcher,
             // its caller) get to run without displacing that one.
-            for job in job_rx.iter() {
+            for mut job in job_rx.iter() {
                 // Full reset (drain included) only at a job boundary,
-                // ordered by the ready handshake; inside a batch the fin
-                // rendezvous separates sessions instead.
+                // ordered by the ready handshake; inside a job a rearm
+                // separates sessions and neither side waits for the other.
                 ep_b.reset(job.budget, job.timeout);
                 if ready_tx.send(()).is_err() {
                     break;
                 }
-                let done = match job.kind {
-                    JobKind::Single(coins, bob) => {
-                        let res = contain(
-                            Side::Bob,
-                            catch_unwind(AssertUnwindSafe(|| bob(&mut ep_b, &coins))),
-                        );
-                        ep_b.send_fin();
-                        Done::Single((res, ep_b.stats()))
+                for session in job.first..job.seeds.len() {
+                    let Some(bob) = job.bob.take() else { break };
+                    if session > job.first {
+                        ep_b.rearm(job.budget, job.timeout);
                     }
-                    JobKind::Batch(coins, mut bob) => {
-                        let mut results = Vec::with_capacity(coins.len());
-                        for (i, c) in coins.iter().enumerate() {
-                            if i > 0 {
-                                ep_b.rearm(job.budget, job.timeout);
-                            }
-                            let res = contain(
-                                Side::Bob,
-                                catch_unwind(AssertUnwindSafe(|| bob(i, &mut ep_b, c))),
-                            );
-                            ep_b.send_fin();
-                            results.push((res, ep_b.stats()));
-                            if ep_b.drain_to_fin().is_err() {
-                                // Lost rendezvous: report the short batch
-                                // so the caller retires this runner.
-                                break;
-                            }
-                        }
-                        Done::Batch(results)
+                    let coins = CoinSource::from_seed(job.seeds[session]);
+                    let (res, bob) = bob.run(session, &mut ep_b, &coins);
+                    job.bob = bob;
+                    let failed = res.is_err();
+                    job.done.push((res, ep_b.stats()));
+                    if failed {
+                        // Without a fence a failed session leaves the two
+                        // sides out of step: the job ends here.
+                        break;
                     }
-                    JobKind::Stream(coins, mut bob) => {
-                        let mut results = Vec::with_capacity(coins.len());
-                        for (i, c) in coins.iter().enumerate() {
-                            if i > 0 {
-                                ep_b.rearm(job.budget, job.timeout);
-                            }
-                            let res = contain(
-                                Side::Bob,
-                                catch_unwind(AssertUnwindSafe(|| bob(i, &mut ep_b, c))),
-                            );
-                            let failed = res.is_err();
-                            results.push((res, ep_b.stats()));
-                            if failed {
-                                // A failed session desynchronizes an
-                                // unfenced stream: abort the rest.
-                                break;
-                            }
-                        }
-                        // One rendezvous closes the whole stream.
-                        ep_b.send_fin();
-                        let clean = results.len() == coins.len() && ep_b.drain_to_fin().is_ok();
-                        Done::Stream(results, clean)
-                    }
-                };
-                if done_tx.send(done).is_err() {
+                }
+                // One fin closes the job: a peer still waiting in `recv`
+                // sees a hangup, as after a dedicated run's endpoint drop.
+                ep_b.send_fin();
+                if done_tx.send(job).is_err() {
                     break;
                 }
             }
@@ -510,7 +447,8 @@ impl SessionRunner {
             ready_rx,
             done_rx,
             handle: Some(handle),
-            broken: false,
+            seeds: Vec::new(),
+            done: Vec::new(),
         }
     }
 
@@ -536,248 +474,151 @@ impl SessionRunner {
         FB: FnOnce(&mut Endpoint, &CoinSource) -> Result<B, ProtocolError> + Send + 'static,
         B: Send + 'static,
     {
-        let coins = CoinSource::from_seed(cfg.seed);
-        let kind = JobKind::Single(
-            coins.clone(),
-            Box::new(move |ep, c| bob(ep, c).map(|b| Box::new(b) as Box<dyn Any + Send>)),
-        );
-        self.begin_job(cfg, kind)?;
-        let (res_a, stats_a) = {
-            let _pool = self.ep_a.pool().clone().install();
-            let res = contain(
-                Side::Alice,
-                catch_unwind(AssertUnwindSafe(|| alice(&mut self.ep_a, &coins))),
-            );
-            self.ep_a.send_fin();
-            (res, self.ep_a.stats())
-        };
-        let (res_b, stats_b) = match self.done_rx.recv_hot(Duration::MAX, Hot::Yield) {
-            Ok(Done::Single(done)) => done,
-            _ => {
-                self.broken = true;
-                return Err(self.broken_error());
-            }
-        };
-        Ok(SessionParts {
-            alice: res_a,
-            bob: downcast_bob::<B>(res_b),
-            report: assemble_report(stats_a, stats_b),
-        })
+        let mut alice = Some(alice);
+        let mut parts = None;
+        self.drive(
+            cfg,
+            &[cfg.seed],
+            |_, ep, coins| (alice.take().expect("a block of one runs its session once"))(ep, coins),
+            Box::new(Once(bob)),
+            |_, settled| parts = Some(settled),
+        )?;
+        Ok(parts.expect("a block of one settles one session"))
     }
 
-    /// Runs a batch of back-to-back sessions over the warm pair: one
-    /// job hand-off and one ready handshake for the whole batch, then
-    /// one coin-source reseed (from `seeds[i]`) per session. Sessions
-    /// are separated by an unmetered fin rendezvous instead of a full
-    /// reset, so per-session overhead is two control frames.
+    /// Runs a *block* of sessions back to back over the warm pair — the
+    /// one thing a runner does; [`run_parts`](Self::run_parts) is the
+    /// block of one. Session `i` calls `alice(i, …)` here and `bob(i, …)`
+    /// on the paired thread with the common random string of `seeds[i]`,
+    /// under `cfg`'s budget and timeout (its seed is not used), and hands
+    /// its [`SessionParts`] to `settled(i, …)`, in order.
     ///
-    /// Each session is bit-for-bit identical to a dedicated
-    /// [`run_two_party`] call with `RunConfig { seed: seeds[i], ..cfg }`
-    /// running the same closures: counters restart from zero and the
-    /// budget re-applies per session. Failures are contained per
-    /// session — one failed session leaves the rest of the batch
-    /// untouched.
+    /// Sessions are separated by a counter rearm only: neither side waits
+    /// for the other between sessions, so halves that do not strictly
+    /// alternate pipeline across the pair and one wake-up covers a burst
+    /// of sessions. Session `i` is still bit-for-bit identical to a
+    /// dedicated [`run_two_party`] with `RunConfig { seed: seeds[i],
+    /// ..cfg }`: each side's sends stamp depths from its own per-session
+    /// clock and receives are metered at `recv` time, after the
+    /// receiver's own rearm, so every bit lands in the right session no
+    /// matter how far the peer ran ahead.
+    ///
+    /// A session that fails on either side costs that session only: the
+    /// job ends there and the rest of the block starts as a new job,
+    /// whose reset and ready handshake put the two sides back in step (a
+    /// half that had run ahead runs those sessions again). `settled` is
+    /// therefore called exactly `seeds.len()` times.
     ///
     /// # Errors
     ///
-    /// Fails only if the runner itself breaks (worker thread death, or
-    /// a lost mid-batch rendezvous after a receive timeout); per-session
-    /// protocol failures are reported inside each [`SessionParts`].
-    pub fn run_batch_parts<FA, FB, A, B>(
+    /// Fails only if the paired thread died, possibly after some sessions
+    /// have settled; protocol failures are reported inside each
+    /// [`SessionParts`].
+    pub fn run_block<FA, FB, A, B>(
         &mut self,
         cfg: &RunConfig,
         seeds: &[u64],
-        mut alice: FA,
-        mut bob: FB,
-    ) -> Result<Vec<SessionParts<A, B>>, ProtocolError>
+        alice: FA,
+        bob: FB,
+        settled: impl FnMut(usize, SessionParts<A, B>),
+    ) -> Result<(), ProtocolError>
     where
         FA: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<A, ProtocolError>,
         FB: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<B, ProtocolError> + Send + 'static,
         B: Send + 'static,
     {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let coins: Vec<CoinSource> = seeds.iter().map(|&s| CoinSource::from_seed(s)).collect();
-        let kind = JobKind::Batch(
-            coins.clone(),
-            Box::new(move |i, ep, c| bob(i, ep, c).map(|b| Box::new(b) as Box<dyn Any + Send>)),
-        );
-        self.begin_job(cfg, kind)?;
-        let mut halves: Vec<(Result<A, ProtocolError>, ChannelStats)> =
-            Vec::with_capacity(coins.len());
-        let mut desynced = false;
-        {
-            let _pool = self.ep_a.pool().clone().install();
-            for (i, c) in coins.iter().enumerate() {
-                if i > 0 {
-                    self.ep_a.rearm(cfg.bit_budget, cfg.timeout);
-                }
-                let res = contain(
-                    Side::Alice,
-                    catch_unwind(AssertUnwindSafe(|| alice(i, &mut self.ep_a, c))),
-                );
-                self.ep_a.send_fin();
-                halves.push((res, self.ep_a.stats()));
-                if self.ep_a.drain_to_fin().is_err() {
-                    desynced = true;
-                    break;
-                }
-            }
-        }
-        // Every worker-side blocking operation is timeout-bounded, so
-        // the batch report always arrives (possibly short).
-        let done = match self.done_rx.recv_hot(Duration::MAX, Hot::Yield) {
-            Ok(Done::Batch(done)) => done,
-            _ => {
-                self.broken = true;
-                return Err(self.broken_error());
-            }
-        };
-        if desynced || done.len() != halves.len() {
-            self.broken = true;
-            return Err(self.broken_error());
-        }
-        Ok(halves
-            .into_iter()
-            .zip(done)
-            .map(|((res_a, stats_a), (res_b, stats_b))| SessionParts {
-                alice: res_a,
-                bob: downcast_bob::<B>(res_b),
-                report: assemble_report(stats_a, stats_b),
-            })
-            .collect())
+        self.drive(cfg, seeds, alice, Box::new(bob), settled)
     }
 
-    /// Runs a *stream* of back-to-back sessions over the warm pair with
-    /// **no per-session rendezvous**: sessions are separated only by a
-    /// counter rearm, so neither side waits for the other between
-    /// sessions. Protocols whose halves don't strictly alternate (a
-    /// side sends before it receives) pipeline across the pair — one
-    /// thread wakeup then covers a burst of sessions instead of two
-    /// context switches per session, which is where the streamed-batch
-    /// throughput win comes from. One fin each way closes the stream.
-    ///
-    /// Exactness is unchanged: session `i` is bit-for-bit identical to
-    /// a dedicated [`run_two_party`] with `RunConfig { seed: seeds[i],
-    /// ..cfg }` — counters rearm from zero per session, each side's
-    /// sends stamp depths from its own per-session clock, and receive
-    /// metering happens at `recv` time, after the receiver's own rearm,
-    /// so every bit lands in the right session no matter how far the
-    /// peer ran ahead.
-    ///
-    /// The price of dropping the fence is failure isolation: a session
-    /// that fails on either side desynchronizes the stream, so the
-    /// stream **aborts** at the first failure. The returned vector is
-    /// then shorter than `seeds` (it ends with the failing session as
-    /// observed by both sides, possibly truncated) and the runner is
-    /// marked [broken](Self::is_broken) — callers retire it and fall
-    /// back to the fenced batch path for the remainder.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the runner infrastructure itself breaks (worker
-    /// thread death); protocol failures surface as described above.
-    pub fn run_stream_parts<FA, FB, A, B>(
-        &mut self,
-        cfg: &RunConfig,
-        seeds: &[u64],
-        mut alice: FA,
-        mut bob: FB,
-    ) -> Result<Vec<SessionParts<A, B>>, ProtocolError>
-    where
-        FA: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<A, ProtocolError>,
-        FB: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<B, ProtocolError> + Send + 'static,
-        B: Send + 'static,
-    {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let coins: Vec<CoinSource> = seeds.iter().map(|&s| CoinSource::from_seed(s)).collect();
-        let kind = JobKind::Stream(
-            coins.clone(),
-            Box::new(move |i, ep, c| bob(i, ep, c).map(|b| Box::new(b) as Box<dyn Any + Send>)),
-        );
-        self.begin_job(cfg, kind)?;
-        let mut halves: Vec<(Result<A, ProtocolError>, ChannelStats)> =
-            Vec::with_capacity(coins.len());
-        {
-            let _pool = self.ep_a.pool().clone().install();
-            for (i, c) in coins.iter().enumerate() {
-                if i > 0 {
-                    self.ep_a.rearm(cfg.bit_budget, cfg.timeout);
-                }
-                let res = contain(
-                    Side::Alice,
-                    catch_unwind(AssertUnwindSafe(|| alice(i, &mut self.ep_a, c))),
-                );
-                let failed = res.is_err();
-                halves.push((res, self.ep_a.stats()));
-                if failed {
-                    break;
-                }
-            }
-            self.ep_a.send_fin();
-            if halves.len() != coins.len() || self.ep_a.drain_to_fin().is_err() {
-                self.broken = true;
-            }
-        }
-        // The worker's blocking operations are timeout-bounded, so the
-        // stream report always arrives (possibly short and unclean).
-        let done = match self.done_rx.recv_hot(Duration::MAX, Hot::Yield) {
-            Ok(Done::Stream(done, clean)) => {
-                if !clean {
-                    self.broken = true;
-                }
-                done
-            }
-            _ => {
-                self.broken = true;
-                return Err(self.broken_error());
-            }
-        };
-        if done.len() != halves.len() {
-            self.broken = true;
-        }
-        let n = done.len().min(halves.len());
-        Ok(halves
-            .into_iter()
-            .take(n)
-            .zip(done.into_iter().take(n))
-            .map(|((res_a, stats_a), (res_b, stats_b))| SessionParts {
-                alice: res_a,
-                bob: downcast_bob::<B>(res_b),
-                report: assemble_report(stats_a, stats_b),
-            })
-            .collect())
-    }
-
-    /// `true` once the runner has lost its paired thread or stream/batch
-    /// synchronization; a broken runner refuses further jobs and must be
-    /// replaced.
+    /// `true` once the runner has lost its paired thread; a broken
+    /// runner refuses further jobs and must be replaced.
     pub fn is_broken(&self) -> bool {
-        self.broken
+        self.handle.as_ref().is_none_or(JoinHandle::is_finished)
     }
 
-    /// Shared job kickoff: reset order matters — Alice's endpoint first
-    /// (the peer is quiescent between jobs), then the job hand-off,
-    /// then Bob resets his endpoint *before* acknowledging ready — so
-    /// neither reset can swallow a frame of the new job.
-    fn begin_job(&mut self, cfg: &RunConfig, kind: JobKind) -> Result<(), ProtocolError> {
-        let job_tx = match (&self.job_tx, self.broken) {
-            (Some(tx), false) => tx,
-            _ => return Err(self.broken_error()),
-        };
-        let job = Job {
+    fn drive<FA, A, B: 'static>(
+        &mut self,
+        cfg: &RunConfig,
+        seeds: &[u64],
+        mut alice: FA,
+        bob: Box<dyn BobHalves>,
+        mut settled: impl FnMut(usize, SessionParts<A, B>),
+    ) -> Result<(), ProtocolError>
+    where
+        FA: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<A, ProtocolError>,
+    {
+        let mut job = Job {
             budget: cfg.bit_budget,
             timeout: cfg.timeout,
-            kind,
+            seeds: std::mem::take(&mut self.seeds),
+            first: 0,
+            bob: Some(bob),
+            done: std::mem::take(&mut self.done),
         };
-        self.ep_a.reset(cfg.bit_budget, cfg.timeout);
-        if job_tx.send(job).is_err() || self.ready_rx.recv_hot(Duration::MAX, Hot::Yield).is_err() {
-            self.broken = true;
-            return Err(self.broken_error());
+        job.seeds.clear();
+        job.seeds.extend_from_slice(seeds);
+        // One job, unless a session fails: then one more for what is left.
+        while job.first < seeds.len() {
+            let first = job.first;
+            // Reset order matters — Alice's endpoint first (the peer is
+            // quiescent between jobs), then the job hand-off, then Bob
+            // resets his endpoint *before* acknowledging ready — so
+            // neither reset can swallow a frame of the new job. A dead
+            // paired thread has dropped its ends of all three channels.
+            self.ep_a.reset(cfg.bit_budget, cfg.timeout);
+            let sent = self.job_tx.as_ref().is_some_and(|tx| tx.send(job).is_ok());
+            if !sent || self.ready_rx.recv_hot(Duration::MAX, Hot::Yield).is_err() {
+                return Err(broken_error());
+            }
+            // Alice's halves up to her first failure; the last one stays
+            // out of the vector, so a block of one allocates nothing.
+            let mut earlier = Vec::new();
+            let last = {
+                let _pool = self.ep_a.pool().clone().install();
+                let mut session = first;
+                loop {
+                    if session > first {
+                        self.ep_a.rearm(cfg.bit_budget, cfg.timeout);
+                    }
+                    let coins = CoinSource::from_seed(seeds[session]);
+                    let res = contained(Side::Alice, || alice(session, &mut self.ep_a, &coins));
+                    let half = (res, self.ep_a.stats());
+                    session += 1;
+                    if half.0.is_err() || session == seeds.len() {
+                        break half;
+                    }
+                    earlier.push(half);
+                }
+            };
+            self.ep_a.send_fin();
+            // Every blocking operation of the paired thread is bounded by
+            // the timeout, so the job always comes back.
+            job = self
+                .done_rx
+                .recv_hot(Duration::MAX, Hot::Yield)
+                .map_err(|_| broken_error())?;
+            // What both sides reached settles, ending with the first
+            // failure of either; what one side ran beyond it runs again.
+            let halves = earlier.into_iter().chain(std::iter::once(last));
+            for ((res_a, stats_a), (res_b, stats_b)) in halves.zip(job.done.drain(..)) {
+                let parts = SessionParts {
+                    alice: res_a,
+                    bob: res_b.map(|b| {
+                        *b.downcast::<B>()
+                            .expect("bob's type-erased result matches FB's return type")
+                    }),
+                    report: assemble_report(stats_a, stats_b),
+                };
+                settled(job.first, parts);
+                job.first += 1;
+            }
+            debug_assert!(
+                job.first > first,
+                "a job settles at least its first session"
+            );
         }
+        self.seeds = job.seeds;
+        self.done = job.done;
         Ok(())
     }
 
@@ -801,10 +642,10 @@ impl SessionRunner {
     {
         self.run_parts(cfg, alice, bob)?.collapse()
     }
+}
 
-    fn broken_error(&self) -> ProtocolError {
-        ProtocolError::Internal("session runner worker thread died".to_string())
-    }
+fn broken_error() -> ProtocolError {
+    ProtocolError::Internal("session runner worker thread died".to_string())
 }
 
 impl Drop for SessionRunner {
@@ -828,6 +669,28 @@ mod tests {
             b.push_bit(true);
         }
         b
+    }
+
+    /// Runs one block on `runner` and collects what settles, in order.
+    fn block<FA, FB, A, B>(
+        runner: &mut SessionRunner,
+        seeds: &[u64],
+        alice: FA,
+        bob: FB,
+    ) -> Vec<SessionParts<A, B>>
+    where
+        FA: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<A, ProtocolError>,
+        FB: FnMut(usize, &mut Endpoint, &CoinSource) -> Result<B, ProtocolError> + Send + 'static,
+        B: Send + 'static,
+    {
+        let mut out = Vec::new();
+        runner
+            .run_block(&RunConfig::default(), seeds, alice, bob, |i, parts| {
+                assert_eq!(i, out.len(), "sessions settle in order");
+                out.push(parts);
+            })
+            .unwrap();
+        out
     }
 
     #[test]
@@ -1113,9 +976,7 @@ mod tests {
         };
         let seeds: Vec<u64> = (0..32).collect();
         let mut runner = SessionRunner::start();
-        let batch = runner
-            .run_batch_parts(&RunConfig::default(), &seeds, alice, bob)
-            .unwrap();
+        let batch = block(&mut runner, &seeds, alice, bob);
         assert_eq!(batch.len(), seeds.len());
         for (i, parts) in batch.into_iter().enumerate() {
             let cfg = RunConfig::with_seed(seeds[i]);
@@ -1134,20 +995,18 @@ mod tests {
     fn batch_shares_coins_per_session_seed() {
         let mut runner = SessionRunner::start();
         let seeds = [11u64, 12, 13];
-        let batch = runner
-            .run_batch_parts(
-                &RunConfig::default(),
-                &seeds,
-                |_, _, coins: &CoinSource| {
-                    use rand::Rng;
-                    Ok(coins.rng_for("h").gen::<u64>())
-                },
-                |_, _, coins: &CoinSource| {
-                    use rand::Rng;
-                    Ok(coins.rng_for("h").gen::<u64>())
-                },
-            )
-            .unwrap();
+        let batch = block(
+            &mut runner,
+            &seeds,
+            |_, _, coins: &CoinSource| {
+                use rand::Rng;
+                Ok(coins.rng_for("h").gen::<u64>())
+            },
+            |_, _, coins: &CoinSource| {
+                use rand::Rng;
+                Ok(coins.rng_for("h").gen::<u64>())
+            },
+        );
         let values: Vec<u64> = batch
             .into_iter()
             .map(|p| {
@@ -1164,22 +1023,20 @@ mod tests {
     #[test]
     fn batch_contains_per_session_failures() {
         let mut runner = SessionRunner::start();
-        let batch = runner
-            .run_batch_parts(
-                &RunConfig::default(),
-                &[0, 1, 2],
-                |_, chan: &mut Endpoint, _| {
-                    chan.send(bits(4))?;
-                    Ok(())
-                },
-                |i, chan: &mut Endpoint, _| {
-                    if i == 1 {
-                        panic!("session one explodes");
-                    }
-                    Ok(chan.recv()?.len())
-                },
-            )
-            .unwrap();
+        let batch = block(
+            &mut runner,
+            &[0, 1, 2],
+            |_, chan: &mut Endpoint, _| {
+                chan.send(bits(4))?;
+                Ok(())
+            },
+            |i, chan: &mut Endpoint, _| {
+                if i == 1 {
+                    panic!("session one explodes");
+                }
+                Ok(chan.recv()?.len())
+            },
+        );
         assert_eq!(batch[0].bob.as_ref().unwrap(), &4);
         assert_eq!(
             batch[1].bob.as_ref().unwrap_err(),
@@ -1220,9 +1077,7 @@ mod tests {
         };
         let seeds: Vec<u64> = (0..32).collect();
         let mut runner = SessionRunner::start();
-        let stream = runner
-            .run_stream_parts(&RunConfig::default(), &seeds, alice, bob)
-            .unwrap();
+        let stream = block(&mut runner, &seeds, alice, bob);
         assert!(!runner.is_broken());
         assert_eq!(stream.len(), seeds.len());
         for (i, parts) in stream.into_iter().enumerate() {
@@ -1253,9 +1108,7 @@ mod tests {
         };
         let seeds: Vec<u64> = (100..164).collect();
         let mut runner = SessionRunner::start();
-        let stream = runner
-            .run_stream_parts(&RunConfig::default(), &seeds, alice, bob)
-            .unwrap();
+        let stream = block(&mut runner, &seeds, alice, bob);
         assert!(!runner.is_broken());
         assert_eq!(stream.len(), seeds.len());
         for (i, parts) in stream.into_iter().enumerate() {
@@ -1283,9 +1136,7 @@ mod tests {
         let bob = |_: usize, chan: &mut Endpoint, _: &CoinSource| Ok(chan.recv()?.len());
         let seeds: Vec<u64> = (0..48).collect();
         let mut runner = SessionRunner::start();
-        let stream = runner
-            .run_stream_parts(&RunConfig::default(), &seeds, alice, bob)
-            .unwrap();
+        let stream = block(&mut runner, &seeds, alice, bob);
         assert!(!runner.is_broken());
         assert_eq!(stream.len(), seeds.len());
         for (i, parts) in stream.into_iter().enumerate() {
@@ -1295,70 +1146,179 @@ mod tests {
         }
     }
 
+    /// Who sends when, inside one session of the abort-and-resume probe.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        Alternating,
+        Simultaneous,
+        OneWayAliceAhead,
+        BobFirst,
+    }
+
+    /// How a failing session of the probe fails.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Failure {
+        AliceErrsBeforeSending,
+        BobPanics,
+        BobFailsAfterConsuming,
+    }
+
+    /// First, last, two in a row, and a few in between.
+    fn fails(i: usize) -> bool {
+        matches!(i, 0 | 10 | 11 | 39) || i % 9 == 4
+    }
+
+    fn probe_alice(
+        shape: Shape,
+        failure: Failure,
+        i: usize,
+        chan: &mut Endpoint,
+    ) -> Result<usize, ProtocolError> {
+        if fails(i) && failure == Failure::AliceErrsBeforeSending {
+            return Err(ProtocolError::InvalidInput(format!("alice bails in {i}")));
+        }
+        match shape {
+            Shape::Alternating => {
+                chan.send(bits(i % 7 + 1))?;
+                let got = chan.recv()?;
+                chan.send(bits(got.len() + 1))?;
+                Ok(got.len())
+            }
+            Shape::Simultaneous => {
+                chan.send(bits(i % 5 + 1))?;
+                Ok(chan.recv()?.len())
+            }
+            Shape::OneWayAliceAhead => {
+                chan.send(bits(i % 9 + 1))?;
+                Ok(0)
+            }
+            Shape::BobFirst => {
+                let got = chan.recv()?;
+                chan.send(bits(got.len() + 1))?;
+                Ok(got.len())
+            }
+        }
+    }
+
+    fn probe_bob(
+        shape: Shape,
+        failure: Failure,
+        i: usize,
+        chan: &mut Endpoint,
+    ) -> Result<usize, ProtocolError> {
+        if fails(i) && failure == Failure::BobPanics {
+            panic!("bob explodes in {i}");
+        }
+        let got = match shape {
+            Shape::Alternating => {
+                let got = chan.recv()?;
+                chan.send(bits(got.len() + 2 + i % 3))?;
+                chan.recv()?.len()
+            }
+            Shape::Simultaneous => {
+                chan.send(bits(i % 3 + 2))?;
+                chan.recv()?.len()
+            }
+            Shape::OneWayAliceAhead => chan.recv()?.len(),
+            Shape::BobFirst => {
+                chan.send(bits(i % 4 + 1))?;
+                chan.recv()?.len()
+            }
+        };
+        if fails(i) && failure == Failure::BobFailsAfterConsuming {
+            return Err(ProtocolError::InvalidInput(format!("bob bails in {i}")));
+        }
+        Ok(got)
+    }
+
     #[test]
-    fn stream_aborts_at_first_failure_and_marks_runner_broken() {
+    fn a_failed_session_costs_that_session_and_the_block_goes_on() {
+        // One runner throughout: 4 message shapes × 3 ways to fail, 40
+        // sessions each with 9 of them failing. Every session must settle
+        // as the same session run on its own, and the runner stays whole.
+        let seeds: Vec<u64> = (0..40).collect();
         let mut runner = SessionRunner::start();
-        let stream = runner
-            .run_stream_parts(
-                &RunConfig::default(),
-                &[0, 1, 2, 3],
-                |_, chan: &mut Endpoint, _| {
-                    chan.send(bits(4))?;
-                    Ok(chan.recv()?.len())
-                },
-                |i, chan: &mut Endpoint, _| {
-                    if i == 1 {
-                        return Err(ProtocolError::InvalidInput("session one bails".into()));
+        for shape in [
+            Shape::Alternating,
+            Shape::Simultaneous,
+            Shape::OneWayAliceAhead,
+            Shape::BobFirst,
+        ] {
+            for failure in [
+                Failure::AliceErrsBeforeSending,
+                Failure::BobPanics,
+                Failure::BobFailsAfterConsuming,
+            ] {
+                let settled = block(
+                    &mut runner,
+                    &seeds,
+                    move |i, chan: &mut Endpoint, _| probe_alice(shape, failure, i, chan),
+                    move |i, chan: &mut Endpoint, _| probe_bob(shape, failure, i, chan),
+                );
+                assert!(!runner.is_broken(), "{shape:?} {failure:?}");
+                assert_eq!(settled.len(), seeds.len(), "{shape:?} {failure:?}");
+                for (i, parts) in settled.into_iter().enumerate() {
+                    let what = format!("{shape:?} {failure:?} session {i}");
+                    let cfg = RunConfig::with_seed(seeds[i]);
+                    if fails(i) {
+                        // A failed session keeps its report and its
+                        // surviving half: the same as on a runner of its own.
+                        let alone = SessionRunner::start()
+                            .run_parts(
+                                &cfg,
+                                |chan, _| probe_alice(shape, failure, i, chan),
+                                move |chan: &mut Endpoint, _: &CoinSource| {
+                                    probe_bob(shape, failure, i, chan)
+                                },
+                            )
+                            .unwrap();
+                        assert_eq!(parts.report, alone.report, "{what}");
+                        assert_eq!(parts.alice, alone.alice, "{what}");
+                        assert_eq!(parts.bob, alone.bob, "{what}");
                     }
-                    let got = chan.recv()?;
-                    chan.send(bits(got.len()))?;
-                    Ok(got.len())
-                },
-            )
-            .unwrap();
-        // Session 0 completed; session 1 failed on Bob's side; the
-        // stream aborted before sessions 2 and 3.
-        assert!(stream.len() < 4, "aborted stream is short");
-        assert!(stream[0].bob.is_ok());
-        assert!(runner.is_broken(), "an aborted stream retires the runner");
-        // A broken runner refuses the next job instead of hanging.
-        let err = runner
+                    let dedicated = run_two_party(
+                        &cfg,
+                        |chan, _| probe_alice(shape, failure, i, chan),
+                        |chan, _| probe_bob(shape, failure, i, chan),
+                    );
+                    match (parts.collapse(), dedicated) {
+                        (Ok(ours), Ok(theirs)) => {
+                            assert!(!fails(i), "{what} should have failed");
+                            assert_eq!(ours.report, theirs.report, "{what}");
+                            assert_eq!(ours.alice, theirs.alice, "{what}");
+                            assert_eq!(ours.bob, theirs.bob, "{what}");
+                        }
+                        (Err(ours), Err(theirs)) => {
+                            assert!(fails(i), "{what} should have succeeded");
+                            assert_eq!(ours, theirs, "{what}");
+                        }
+                        (ours, theirs) => panic!("{what}: {ours:?} vs {theirs:?}"),
+                    }
+                }
+            }
+        }
+        // And the same runner still serves a plain session.
+        let out = runner
             .run(
                 &RunConfig::with_seed(9),
-                |_, _| Ok(()),
-                |_, _| -> Result<(), ProtocolError> { Ok(()) },
+                |chan, _| {
+                    chan.send(bits(2))?;
+                    Ok(())
+                },
+                |chan, _| Ok(chan.recv()?.len()),
             )
-            .unwrap_err();
-        assert!(matches!(err, ProtocolError::Internal(_)));
+            .unwrap();
+        assert_eq!(out.bob, 2);
+        assert_eq!(out.report.rounds, 1);
     }
 
     #[test]
-    fn empty_stream_is_a_no_op() {
+    fn empty_block_is_a_no_op() {
         let mut runner = SessionRunner::start();
-        let stream: Vec<SessionParts<(), ()>> = runner
-            .run_stream_parts(
-                &RunConfig::default(),
-                &[],
-                |_, _, _| Ok(()),
-                |_, _, _| Ok(()),
-            )
-            .unwrap();
-        assert!(stream.is_empty());
+        let settled: Vec<SessionParts<(), ()>> =
+            block(&mut runner, &[], |_, _, _| Ok(()), |_, _, _| Ok(()));
+        assert!(settled.is_empty());
         assert!(!runner.is_broken());
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut runner = SessionRunner::start();
-        let batch: Vec<SessionParts<(), ()>> = runner
-            .run_batch_parts(
-                &RunConfig::default(),
-                &[],
-                |_, _, _| Ok(()),
-                |_, _, _| Ok(()),
-            )
-            .unwrap();
-        assert!(batch.is_empty());
     }
 
     #[test]

@@ -129,28 +129,38 @@ impl<C: Chan> Traced<C> {
 
     /// Aggregates the log by phase label, in first-seen order.
     pub fn summary(&self) -> Vec<PhaseSummary> {
-        let mut out: Vec<PhaseSummary> = Vec::new();
-        for ev in &self.events {
-            let entry = match out.iter_mut().find(|p| p.label == ev.label) {
-                Some(e) => e,
-                None => {
-                    out.push(PhaseSummary {
-                        label: ev.label.clone(),
-                        bits_sent: 0,
-                        bits_received: 0,
-                        messages: 0,
-                    });
-                    out.last_mut().expect("just pushed")
-                }
-            };
-            entry.messages += 1;
-            match ev.direction {
-                Direction::Sent => entry.bits_sent += ev.bits as u64,
-                Direction::Received => entry.bits_received += ev.bits as u64,
-            }
-        }
-        out
+        summarize(&self.events, |ev| ev.label.clone())
     }
+}
+
+/// Aggregates an event log under the label `label` gives each event, in
+/// first-seen order.
+pub fn summarize(
+    events: &[TraceEvent],
+    label: impl Fn(&TraceEvent) -> String,
+) -> Vec<PhaseSummary> {
+    let mut out: Vec<PhaseSummary> = Vec::new();
+    for ev in events {
+        let label = label(ev);
+        let entry = match out.iter_mut().find(|p| p.label == label) {
+            Some(e) => e,
+            None => {
+                out.push(PhaseSummary {
+                    label,
+                    bits_sent: 0,
+                    bits_received: 0,
+                    messages: 0,
+                });
+                out.last_mut().expect("just pushed")
+            }
+        };
+        entry.messages += 1;
+        match ev.direction {
+            Direction::Sent => entry.bits_sent += ev.bits as u64,
+            Direction::Received => entry.bits_received += ev.bits as u64,
+        }
+    }
+    out
 }
 
 impl<C: Chan> Chan for Traced<C> {

@@ -200,7 +200,7 @@ fn endpoint_pairs_recycle_spill_storage_through_the_shared_pool() {
 
 /// Property test for the satellite contract: interleaved
 /// `Endpoint::reset`/`rearm` (driven through every reuse path of one
-/// `SessionRunner` — single runs, 64-style batches, pair streams) plus
+/// `SessionRunner` — single runs and blocks of sessions) plus
 /// spill/reclaim through the shared pool never corrupts a payload. Each
 /// session moves payloads whose widths straddle `INLINE_BITS` from both
 /// sides of the boundary, and every echoed payload is compared to the
@@ -265,20 +265,16 @@ fn interleaved_session_resets_and_spill_reclaim_stay_exact() {
                             .alice
                     })
                     .collect(),
-                // Batch: rearm + per-session fin rendezvous.
-                1 => runner
-                    .run_batch_parts(&RunConfig::with_seed(seeds[0]), &seeds, alice, bob)
-                    .expect(&cell)
-                    .into_iter()
-                    .map(|p| p.alice.expect(&cell))
-                    .collect(),
-                // Stream: rearm only, rendezvous at the block boundary.
-                _ => runner
-                    .run_stream_parts(&RunConfig::with_seed(seeds[0]), &seeds, alice, bob)
-                    .expect(&cell)
-                    .into_iter()
-                    .map(|p| p.alice.expect(&cell))
-                    .collect(),
+                // Block: rearm only between sessions, one fin at the end.
+                _ => {
+                    let mut exact = Vec::new();
+                    runner
+                        .run_block(&RunConfig::default(), &seeds, alice, bob, |_, parts| {
+                            exact.push(parts.alice.expect(&cell))
+                        })
+                        .expect(&cell);
+                    exact
+                }
             };
             assert_eq!(exact.len(), depth, "{cell}: session lost");
             for (i, ok) in exact.iter().enumerate() {

@@ -383,9 +383,10 @@ mod tests {
         let mut state_a = None;
         let mut state_b = None;
         let (s, t) = (pair.s.clone(), pair.t.clone());
-        let parts = runner
-            .run_batch_parts(
-                &RunConfig::with_seed(42),
+        let mut parts = Vec::new();
+        runner
+            .run_block(
+                &RunConfig::default(),
                 &seeds,
                 |_, chan, coins| {
                     proto.run_streamed(chan, coins, Side::Alice, spec, &s, &mut state_a)
@@ -393,6 +394,7 @@ mod tests {
                 move |_, chan, coins| {
                     proto.run_streamed(chan, coins, Side::Bob, spec, &t, &mut state_b)
                 },
+                |_, settled| parts.push(settled),
             )
             .unwrap();
         let setup_bits = (ModPrimeReduction::seed_bits(spec.n, spec.k)

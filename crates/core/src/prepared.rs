@@ -20,10 +20,10 @@
 //! schedules); every random draw still happens in execution order from
 //! the same coin forks.
 //!
-//! [`execute_prepared`] and [`execute_prepared_batch`] drive plans
-//! through a thread-local warm [`SessionRunner`], so the dedicated-pair
-//! path, the engine scheduler, and batch submission all share one
-//! execution path (same spawn, handshake, and error tie-break).
+//! [`execute_prepared`], [`execute_prepared_batch`] and
+//! [`execute_prepared_stream`] drive plans through a thread-local warm
+//! [`SessionRunner`] as one *block* of sessions each; they differ only
+//! in where a session's seed comes from.
 
 use crate::api::SetIntersection;
 use crate::sets::{ElementSet, InputPair, ProblemSpec};
@@ -33,7 +33,7 @@ pub use crate::topology::PreparedTournament;
 use intersect_comm::chan::Chan;
 use intersect_comm::coins::{CoinBlock, CoinSource};
 use intersect_comm::error::ProtocolError;
-use intersect_comm::runner::{RunConfig, SessionParts, SessionRunner, Side};
+use intersect_comm::runner::{RunConfig, SessionRunner, Side};
 use intersect_hash::reduce::ModPrimeReduction;
 use std::any::Any;
 use std::cell::RefCell;
@@ -124,6 +124,22 @@ pub struct SessionCtx<'a> {
     /// The artefact returned by [`PreparedProtocol::presample`] for this
     /// submission, if the plan presamples at all.
     pub presampled: Option<&'a (dyn Any + Send + Sync)>,
+}
+
+impl<'a> SessionCtx<'a> {
+    /// The context of slot `slot` of a block whose first session has
+    /// stream index `base`; `presampled` is the block's artefact.
+    pub fn in_block(
+        base: u64,
+        slot: usize,
+        presampled: &'a Option<Arc<dyn Any + Send + Sync>>,
+    ) -> Self {
+        SessionCtx {
+            index: base + slot as u64,
+            slot,
+            presampled: presampled.as_deref(),
+        }
+    }
 }
 
 /// Per-client-pair correlated-randomness context: the *offline* state
@@ -283,109 +299,63 @@ impl<P: SetIntersection + Clone + 'static> PreparedProtocol for FallbackPlan<P> 
 }
 
 thread_local! {
-    /// One warm [`SessionRunner`] per thread: [`execute_prepared`] and
-    /// [`execute_prepared_batch`] reuse its paired thread and channel
-    /// pair across calls instead of spawning per session.
+    /// One warm [`SessionRunner`] per thread: every `execute_prepared*`
+    /// call reuses its paired thread and channel pair instead of
+    /// spawning per session.
     static LOCAL_RUNNER: RefCell<Option<SessionRunner>> = const { RefCell::new(None) };
-}
-
-fn run_once(
-    runner: &mut SessionRunner,
-    cfg: &RunConfig,
-    plan: &Arc<dyn PreparedProtocol>,
-    pair: &InputPair,
-) -> Result<SessionParts<ElementSet, ElementSet>, ProtocolError> {
-    let plan_b = Arc::clone(plan);
-    let t = pair.t.clone();
-    runner.run_parts(
-        cfg,
-        |chan, coins| plan.execute(chan, coins, Side::Alice, &pair.s),
-        move |chan, coins| plan_b.execute(chan, coins, Side::Bob, &t),
-    )
-}
-
-fn run_batch_once(
-    runner: &mut SessionRunner,
-    cfg: &RunConfig,
-    seeds: &[u64],
-    plan: &Arc<dyn PreparedProtocol>,
-    pairs: &[InputPair],
-) -> Result<Vec<SessionParts<ElementSet, ElementSet>>, ProtocolError> {
-    let plan_b = Arc::clone(plan);
-    let ts: Vec<ElementSet> = pairs.iter().map(|p| p.t.clone()).collect();
-    runner.run_batch_parts(
-        cfg,
-        seeds,
-        |i, chan, coins| plan.execute(chan, coins, Side::Alice, &pairs[i].s),
-        move |i, chan, coins| plan_b.execute(chan, coins, Side::Bob, &ts[i]),
-    )
-}
-
-fn run_stream_once(
-    runner: &mut SessionRunner,
-    cfg: &RunConfig,
-    base: u64,
-    seeds: &[u64],
-    plan: &Arc<dyn PreparedProtocol>,
-    pre: Option<&Arc<dyn Any + Send + Sync>>,
-    pairs: &[InputPair],
-) -> Result<Vec<SessionParts<ElementSet, ElementSet>>, ProtocolError> {
-    let plan_b = Arc::clone(plan);
-    let pre_a = pre.cloned();
-    let pre_b = pre.cloned();
-    let ts: Vec<ElementSet> = pairs.iter().map(|p| p.t.clone()).collect();
-    runner.run_stream_parts(
-        cfg,
-        seeds,
-        |i, chan, coins| {
-            let ctx = SessionCtx {
-                index: base + i as u64,
-                slot: i,
-                presampled: pre_a.as_deref(),
-            };
-            plan.execute_in(&ctx, chan, coins, Side::Alice, &pairs[i].s)
-        },
-        move |i, chan, coins| {
-            let ctx = SessionCtx {
-                index: base + i as u64,
-                slot: i,
-                presampled: pre_b.as_deref(),
-            };
-            plan_b.execute_in(&ctx, chan, coins, Side::Bob, &ts[i])
-        },
-    )
-}
-
-/// Reclaims a healthy thread-local runner (starting one on first use or
-/// after a worker death) and hands it to `f`. If `f`'s first attempt
-/// reports runner breakage, the runner is replaced and `f` retried once
-/// — infrastructure failures are not protocol failures.
-fn with_local_runner<T>(
-    mut f: impl FnMut(&mut SessionRunner) -> Result<T, ProtocolError>,
-) -> Result<T, ProtocolError> {
-    LOCAL_RUNNER.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let runner = slot.get_or_insert_with(SessionRunner::start);
-        match f(runner) {
-            Ok(v) => Ok(v),
-            Err(_) => {
-                let runner = slot.insert(SessionRunner::start());
-                f(runner)
-            }
-        }
-    })
 }
 
 /// The output of one prepared session, mirroring
 /// [`IntersectionRun`](crate::api::IntersectionRun)'s collapse rules.
 type SessionResult = Result<crate::api::IntersectionRun, ProtocolError>;
 
-fn collapse(parts: SessionParts<ElementSet, ElementSet>) -> SessionResult {
-    let out = parts.collapse()?;
-    Ok(crate::api::IntersectionRun {
-        alice: out.alice,
-        bob: out.bob,
-        report: out.report,
+/// Runs one block of same-plan sessions on this thread's warm runner —
+/// the single execution path behind the three `execute_prepared*` entry
+/// points, which differ only in where `seeds`, `base` (the stream index
+/// of the block's first session) and `presampled` come from. Session `i`
+/// runs `plan.execute_in` on `pairs[i]` with the common random string of
+/// `seeds[i]` and hands its collapsed result to `settled`, in order. A
+/// runner whose paired thread died is replaced before the block starts;
+/// one that dies under it fails it (a session must not settle twice).
+fn run_block(
+    plan: &Arc<dyn PreparedProtocol>,
+    pairs: &[InputPair],
+    seeds: &[u64],
+    base: u64,
+    presampled: Option<Arc<dyn Any + Send + Sync>>,
+    mut settled: impl FnMut(SessionResult),
+) -> Result<(), ProtocolError> {
+    // Bob's thread owns its inputs. The first one rides in the closure
+    // itself, so a block of one allocates no vector for it.
+    let Some((first, rest)) = pairs.split_first() else {
+        return Ok(());
+    };
+    let t_first = first.t.clone();
+    let t_rest: Vec<ElementSet> = rest.iter().map(|p| p.t.clone()).collect();
+    let (plan_b, presampled_b) = (Arc::clone(plan), presampled.clone());
+    LOCAL_RUNNER.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        slot.take_if(|runner| runner.is_broken());
+        slot.get_or_insert_with(SessionRunner::start).run_block(
+            &RunConfig::default(),
+            seeds,
+            |i, chan, coins| {
+                let ctx = SessionCtx::in_block(base, i, &presampled);
+                plan.execute_in(&ctx, chan, coins, Side::Alice, &pairs[i].s)
+            },
+            move |i, chan, coins| {
+                let t = if i == 0 { &t_first } else { &t_rest[i - 1] };
+                let ctx = SessionCtx::in_block(base, i, &presampled_b);
+                plan_b.execute_in(&ctx, chan, coins, Side::Bob, t)
+            },
+            |_, parts| {
+                settled(parts.collapse().map(|out| crate::api::IntersectionRun {
+                    alice: out.alice,
+                    bob: out.bob,
+                    report: out.report,
+                }))
+            },
+        )
     })
 }
 
@@ -423,18 +393,19 @@ pub fn execute_prepared(
     pair: &InputPair,
     seed: u64,
 ) -> SessionResult {
-    let cfg = RunConfig::with_seed(seed);
-    collapse(with_local_runner(|runner| {
-        run_once(runner, &cfg, plan, pair)
-    })?)
+    let mut run = None;
+    run_block(plan, std::slice::from_ref(pair), &[seed], 0, None, |r| {
+        run = Some(r)
+    })?;
+    run.expect("a block of one settles one session")
 }
 
-/// Runs `pairs.len()` same-plan sessions back-to-back over this
-/// thread's warm runner: one job hand-off for the whole batch, one
-/// coin-source reseed (from `seeds[i]`) per session. Session `i` is
-/// bit-identical to `execute_prepared(plan, &pairs[i], seeds[i])`, and
-/// a per-session protocol failure surfaces in that session's slot
-/// without disturbing the rest.
+/// Runs `pairs.len()` same-plan sessions as one block over this
+/// thread's warm runner: one job hand-off for all of them, session `i`
+/// seeded with `seeds[i]`. Session `i` is bit-identical to
+/// `execute_prepared(plan, &pairs[i], seeds[i])`, and a per-session
+/// protocol failure surfaces in that session's slot without disturbing
+/// the rest.
 ///
 /// # Panics
 ///
@@ -442,35 +413,28 @@ pub fn execute_prepared(
 ///
 /// # Errors
 ///
-/// Fails only on infrastructure breakage (after one replace-and-retry).
+/// Fails only on infrastructure breakage (the runner's paired thread died).
 pub fn execute_prepared_batch(
     plan: &Arc<dyn PreparedProtocol>,
     pairs: &[InputPair],
     seeds: &[u64],
 ) -> Result<Vec<SessionResult>, ProtocolError> {
     assert_eq!(seeds.len(), pairs.len(), "one seed per input pair");
-    let cfg = RunConfig::with_seed(seeds.first().copied().unwrap_or(0));
-    let parts = with_local_runner(|runner| run_batch_once(runner, &cfg, seeds, plan, pairs))?;
-    Ok(parts.into_iter().map(collapse).collect())
+    let mut out = Vec::with_capacity(pairs.len());
+    run_block(plan, pairs, seeds, 0, None, |run| out.push(run))?;
+    Ok(out)
 }
 
-/// Runs `pairs.len()` streamed sessions for one pair over this thread's
-/// warm runner: session seeds come from the pair's [`CoinBlock`], the
-/// plan [presamples](PreparedProtocol::presample) its per-session
-/// artefacts for the whole block up front, and sessions run over the
-/// **no-rendezvous** stream path
-/// ([`run_stream_parts`](SessionRunner::run_stream_parts)) so
-/// pipelining protocols amortize thread wakeups across the block.
+/// Runs `pairs.len()` sessions of one pair's stream as one block over
+/// this thread's warm runner: session seeds come from the pair's
+/// [`CoinBlock`] and the plan [presamples](PreparedProtocol::presample)
+/// its per-session artefacts for the whole block up front.
 ///
 /// Session `i` of the block is bit-identical to
 /// `execute_prepared(ctx.plan(), &pairs[i],
 /// stream_session_seed(ctx.pair_seed(), base + i))` — the seeds are pure
 /// functions of the pair seed and the session index, and presampling
-/// only relocates the same coin-fork draws. If the stream aborts
-/// mid-block (a session failed, desynchronizing the unfenced channel),
-/// the unreached suffix is transparently re-run through the fenced
-/// one-shot path with the same seeds, so the caller always gets
-/// `pairs.len()` results with identical bits either way.
+/// only relocates the same coin-fork draws.
 ///
 /// # Errors
 ///
@@ -480,22 +444,12 @@ pub fn execute_prepared_stream(
     ctx: &PairContext,
     pairs: &[InputPair],
 ) -> Result<Vec<SessionResult>, ProtocolError> {
-    if pairs.is_empty() {
-        return Ok(Vec::new());
-    }
     let (base, seeds) = ctx.take_block(pairs.len());
-    let pre = ctx.plan().presample(&seeds);
-    let cfg = RunConfig::with_seed(seeds[0]);
-    let parts = with_local_runner(|runner| {
-        run_stream_once(runner, &cfg, base, &seeds, ctx.plan(), pre.as_ref(), pairs)
+    let presampled = ctx.plan().presample(&seeds);
+    let mut out = Vec::with_capacity(pairs.len());
+    run_block(ctx.plan(), pairs, &seeds, base, presampled, |run| {
+        out.push(run)
     })?;
-    let mut out: Vec<SessionResult> = parts.into_iter().map(collapse).collect();
-    // An aborted stream returns short: finish the suffix one-shot. The
-    // seeds are the same pure functions of (pair_seed, index), so the
-    // fallback sessions are bit-identical to their streamed versions.
-    for i in out.len()..pairs.len() {
-        out.push(execute_prepared(ctx.plan(), &pairs[i], seeds[i]));
-    }
     Ok(out)
 }
 
@@ -542,22 +496,35 @@ mod tests {
         }
     }
 
+    /// Five pairs for `spec`, the middle one violating it on Bob's side
+    /// (twice as many elements as `k` allows, so Alice has sent and waits
+    /// when he refuses): its session must fail and cost nothing else in
+    /// its block.
+    fn pairs_with_a_violation(spec: ProblemSpec, seed: u64) -> Vec<InputPair> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let k = spec.k as usize;
+        let wide = ProblemSpec::new(spec.n, spec.k * 2);
+        let mut pairs: Vec<InputPair> = (0..5)
+            .map(|i| InputPair::random_with_overlap(&mut rng, spec, k, 10 * i))
+            .collect();
+        pairs[2].t = InputPair::random_with_overlap(&mut rng, wide, 2 * k, k).t;
+        pairs
+    }
+
     #[test]
     fn streamed_sessions_match_seed_derived_one_shot_runs() {
         use intersect_comm::coins::stream_session_seed;
         let spec = ProblemSpec::new(1 << 30, 64);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
         let plan = TreeProtocol::new(2).prepare(spec);
         let ctx = PairContext::new(Arc::clone(&plan), 0xfeed);
-        let pairs: Vec<InputPair> = (0..5)
-            .map(|i| InputPair::random_with_overlap(&mut rng, spec, 64, 10 * i))
-            .collect();
+        let pairs = pairs_with_a_violation(spec, 4);
         let streamed = execute_prepared_stream(&ctx, &pairs).unwrap();
         assert_eq!(streamed.len(), pairs.len());
         for (i, (pair, run)) in pairs.iter().zip(streamed).enumerate() {
             let seed = stream_session_seed(0xfeed, i as u64);
-            let solo = execute_prepared(&plan, pair, seed).unwrap();
-            assert_eq!(run.unwrap(), solo, "session {i}");
+            let solo = execute_prepared(&plan, pair, seed);
+            assert_eq!(solo.is_err(), i == 2, "session {i}");
+            assert_eq!(run, solo, "session {i}");
         }
     }
 
@@ -602,16 +569,15 @@ mod tests {
     #[test]
     fn batch_sessions_match_individual_prepared_runs() {
         let spec = ProblemSpec::new(1 << 30, 64);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
         let plan = TreeProtocol::new(2).prepare(spec);
-        let pairs: Vec<InputPair> = (0..6)
-            .map(|i| InputPair::random_with_overlap(&mut rng, spec, 64, 8 * i))
-            .collect();
-        let seeds: Vec<u64> = (100..106).collect();
+        let pairs = pairs_with_a_violation(spec, 3);
+        let seeds: Vec<u64> = (100..105).collect();
         let batched = execute_prepared_batch(&plan, &pairs, &seeds).unwrap();
-        for ((pair, &seed), batch_run) in pairs.iter().zip(&seeds).zip(batched) {
-            let solo = execute_prepared(&plan, pair, seed).unwrap();
-            assert_eq!(batch_run.unwrap(), solo);
+        assert_eq!(batched.len(), pairs.len());
+        for (i, ((pair, &seed), batch_run)) in pairs.iter().zip(&seeds).zip(batched).enumerate() {
+            let solo = execute_prepared(&plan, pair, seed);
+            assert_eq!(solo.is_err(), i == 2, "session {i}");
+            assert_eq!(batch_run, solo, "session {i}");
         }
     }
 }

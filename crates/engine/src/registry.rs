@@ -266,32 +266,8 @@ impl Registry {
         succeeded: bool,
         latency_micros: u64,
     ) {
-        let mut inner = self.lock();
-        let m = &mut inner.metrics;
-        if succeeded {
-            m.completed += 1;
-        } else {
-            m.failed += 1;
-        }
-        m.total_bits += report.total_bits();
-        m.total_messages += report.messages;
-        *m.rounds_histogram.entry(report.rounds).or_insert(0) += 1;
-        let tally = m.per_protocol.entry(protocol_name.to_string()).or_default();
-        tally.sessions += 1;
-        tally.bits += report.total_bits();
-        tally.max_rounds = tally.max_rounds.max(report.rounds);
-        inner.latency.record(latency_micros);
-        while inner.recent.len() >= inner.recent_cap {
-            inner.recent.pop_front();
-        }
-        inner.recent.push_back(SessionSummary {
-            id,
-            protocol: protocol_name.to_string(),
-            bits: report.total_bits(),
-            rounds: report.rounds,
-            latency_micros,
-            ok: succeeded,
-        });
+        let cost = (report.total_bits(), report.messages, report.rounds);
+        self.fold(id, protocol_name, cost, None, succeeded, latency_micros);
     }
 
     /// Folds one finished m-party session: the aggregate counters see it
@@ -306,6 +282,28 @@ impl Registry {
         succeeded: bool,
         latency_micros: u64,
     ) {
+        let cost = (report.total_bits(), report.messages, report.rounds);
+        self.fold(
+            id,
+            protocol_name,
+            cost,
+            Some(players),
+            succeeded,
+            latency_micros,
+        );
+    }
+
+    /// Folds one finished session of `(bits, messages, rounds)` into the
+    /// counters, the latency histogram and the recent ring.
+    fn fold(
+        &self,
+        id: u64,
+        protocol_name: &str,
+        (bits, messages, rounds): (u64, u64, u64),
+        players: Option<usize>,
+        succeeded: bool,
+        latency_micros: u64,
+    ) {
         let mut inner = self.lock();
         let m = &mut inner.metrics;
         if succeeded {
@@ -313,23 +311,38 @@ impl Registry {
         } else {
             m.failed += 1;
         }
-        m.total_bits += report.total_bits();
-        m.total_messages += report.messages;
-        *m.rounds_histogram.entry(report.rounds).or_insert(0) += 1;
-        let tally = m.per_protocol.entry(protocol_name.to_string()).or_default();
-        tally.sessions += 1;
-        tally.bits += report.total_bits();
-        tally.max_rounds = tally.max_rounds.max(report.rounds);
-        *m.multiparty_sessions.entry(players as u64).or_insert(0) += 1;
-        inner.latency.record(latency_micros);
-        while inner.recent.len() >= inner.recent_cap {
-            inner.recent.pop_front();
+        m.total_bits += bits;
+        m.total_messages += messages;
+        *m.rounds_histogram.entry(rounds).or_insert(0) += 1;
+        // A name is copied on a protocol's first session only.
+        let bump = |tally: &mut ProtocolTally| {
+            tally.sessions += 1;
+            tally.bits += bits;
+            tally.max_rounds = tally.max_rounds.max(rounds);
+        };
+        match m.per_protocol.get_mut(protocol_name) {
+            Some(tally) => bump(tally),
+            None => bump(m.per_protocol.entry(protocol_name.to_string()).or_default()),
         }
+        if let Some(players) = players {
+            *m.multiparty_sessions.entry(players as u64).or_insert(0) += 1;
+        }
+        inner.latency.record(latency_micros);
+        // A full ring hands its oldest summary's string to the newest.
+        let mut protocol = String::new();
+        while inner.recent.len() >= inner.recent_cap {
+            protocol = inner
+                .recent
+                .pop_front()
+                .map_or(protocol, |oldest| oldest.protocol);
+        }
+        protocol.clear();
+        protocol.push_str(protocol_name);
         inner.recent.push_back(SessionSummary {
             id,
-            protocol: protocol_name.to_string(),
-            bits: report.total_bits(),
-            rounds: report.rounds,
+            protocol,
+            bits,
+            rounds,
             latency_micros,
             ok: succeeded,
         });

@@ -19,15 +19,13 @@
 //! runner. Every worker blocks on its one inbox, and the dispatcher sleeps
 //! while the pool is full: an idle engine makes no wake-ups.
 //!
-//! Each worker owns a long-lived [`SessionRunner`]: Alice's half runs on
-//! the worker thread itself and Bob's half on the runner's paired
-//! thread, over a channel pair that is *reset* between sessions rather
-//! than rebuilt. Steady state therefore spawns **zero threads and
-//! builds zero channels per session** — the overhead that dominated the
-//! old spawn-per-session path — and a panicking protocol is contained
-//! by the runner instead of poisoning the pool. Since a worker always
-//! executes a whole session (both halves paired by construction), no
-//! scheduling order can deadlock.
+//! Each worker owns a long-lived [`SessionRunner`] and runs whole blocks
+//! of sessions on it — Alice's halves on the worker thread, Bob's on the
+//! runner's paired thread, over a channel pair that is *reset* between
+//! blocks rather than rebuilt — so steady state spawns **zero threads and
+//! builds zero channels per session**, a panicking protocol is contained
+//! by the runner instead of poisoning the pool, and no scheduling order
+//! can deadlock (both halves are paired by construction).
 //!
 //! # Determinism
 //!
@@ -53,9 +51,9 @@ use intersect_comm::chan::{Chan, Endpoint};
 use intersect_comm::coins::CoinSource;
 use intersect_comm::error::ProtocolError;
 use intersect_comm::net::LinkSet;
-use intersect_comm::runner::{primary_error, RunConfig, SessionRunner, Side};
-use intersect_comm::stats::{ChannelStats, CostReport, NetworkReport};
-use intersect_comm::trace::{Direction, PhaseSummary, Traced};
+use intersect_comm::runner::{primary_error, RunConfig, SessionParts, SessionRunner, Side};
+use intersect_comm::stats::{CostReport, NetworkReport};
+use intersect_comm::trace::{summarize, PhaseSummary, TraceEvent, Traced};
 use intersect_core::api::ProtocolChoice;
 use intersect_core::prepared::{PairContext, PreparedProtocol, SessionCtx};
 use intersect_core::sets::{ElementSet, InputPair};
@@ -239,41 +237,50 @@ pub struct EngineReport {
     pub conformance: Option<ConformanceReport>,
 }
 
-/// One admitted session, ready to run whole on any worker. Carries the
-/// prepared plan from the shared [`PlanCache`], not a bare protocol:
-/// parameter derivation already happened at dispatch.
-struct SessionTask {
-    request: SessionRequest,
-    choice: ProtocolChoice,
-    plan: Arc<dyn PreparedProtocol>,
-    traced: bool,
-    submitted_at: Instant,
-    dispatched_at: Instant,
-    admitted_at: Instant,
+/// Where a block's plan and coin seeds come from: all that tells a
+/// one-shot or a batch from a pair-stream block.
+enum SeedSource {
+    /// Each request brings its own `coin_seed()`; the plan comes from the
+    /// shared [`PlanCache`], so parameter derivation happened at dispatch.
+    Requests(Arc<dyn PreparedProtocol>),
+    /// The next indices of this client pair's stream, with seeds and
+    /// plan from the pair's [`PairContext`].
+    Pair(u64, Arc<PairContext>),
 }
 
-/// One admitted batch: `B` same-spec sessions that run back-to-back on
-/// one worker's warm runner, sharing a single plan-cache lookup.
-struct BatchTask {
-    requests: Vec<SessionRequest>,
-    choice: ProtocolChoice,
-    plan: Arc<dyn PreparedProtocol>,
-    submitted_at: Instant,
-    dispatched_at: Instant,
-    admitted_at: Instant,
+/// The requests of one block: never empty, and a block of one owns no
+/// heap. A `Vec` allocated by the submitting thread and freed by a worker
+/// costs the caller of `engine-trivial-k16` 0.2 µs per session, which is
+/// enough to tip that closed loop into its slow wake-up mode (DESIGN
+/// §1.10).
+struct Requests {
+    first: SessionRequest,
+    rest: Vec<SessionRequest>,
 }
 
-/// One admitted stream submission: same-spec sessions of one client
-/// pair, pipelined on the pair's affine worker with coin seeds drawn
-/// from the pair's [`PairContext`].
-struct StreamTask {
-    requests: Vec<SessionRequest>,
-    pair: u64,
+impl Requests {
+    fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &SessionRequest> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut SessionRequest> {
+        std::iter::once(&mut self.first).chain(&mut self.rest)
+    }
+}
+
+/// One admitted block of same-spec two-party sessions, ready to run
+/// whole, back to back, on one worker's warm runner. A single
+/// submission is a block of one.
+struct PairTask {
+    requests: Requests,
     choice: ProtocolChoice,
-    ctx: Arc<PairContext>,
-    submitted_at: Instant,
-    dispatched_at: Instant,
-    admitted_at: Instant,
+    source: SeedSource,
+    /// Filled up to `planned_at`; the worker adds its own three stamps.
+    stamps: TimelineStamps,
 }
 
 /// One admitted m-party session, ready to run whole on any worker: the
@@ -283,25 +290,27 @@ struct StreamTask {
 struct MultipartyTask {
     request: MultipartyRequest,
     plan: Arc<PreparedTournament>,
-    submitted_at: Instant,
-    dispatched_at: Instant,
-    admitted_at: Instant,
+    stamps: TimelineStamps,
 }
 
 /// What the dispatcher hands to workers.
 enum WorkItem {
-    Single(SessionTask),
-    Batch(BatchTask),
-    Stream(StreamTask),
+    Pair(PairTask),
     Multiparty(MultipartyTask),
 }
 
 /// What clients hand to the admission queue, stamped with the moment of
 /// submission so the dispatcher can attribute queue wait.
 enum Submission {
-    Single(SessionRequest, Instant),
-    Batch(Vec<SessionRequest>, Instant),
-    Stream(u64, Vec<SessionRequest>, Instant),
+    Pair {
+        requests: Requests,
+        /// The client pair whose stream this block continues, if any.
+        pair: Option<u64>,
+        /// The histogram that observes this block's size, if its shape
+        /// has one.
+        depth_metric: Option<&'static str>,
+        submitted_at: Instant,
+    },
     Multiparty(MultipartyRequest, Instant),
 }
 
@@ -353,122 +362,100 @@ struct WorkerCtx {
     mp_outcome_tx: Sender<MultipartySessionOutcome>,
     conformance: Option<(ConformanceConfig, Arc<ConformanceMonitor>)>,
     calibration: Option<Arc<Calibrator>>,
+    debug_session: Option<u64>,
 }
 
-/// Folds a raw event log into per-round bit totals for the debug dump.
-fn round_summaries(events: &[intersect_comm::trace::TraceEvent]) -> Vec<PhaseSummary> {
-    let mut out: Vec<PhaseSummary> = Vec::new();
-    for ev in events {
-        let label = format!("round {}", ev.clock);
-        let entry = match out.iter_mut().find(|p| p.label == label) {
-            Some(e) => e,
-            None => {
-                out.push(PhaseSummary {
-                    label,
-                    bits_sent: 0,
-                    bits_received: 0,
-                    messages: 0,
-                });
-                out.last_mut().expect("just pushed")
-            }
-        };
-        entry.messages += 1;
-        match ev.direction {
-            Direction::Sent => entry.bits_sent += ev.bits as u64,
-            Direction::Received => entry.bits_received += ev.bits as u64,
-        }
-    }
-    out
-}
-
-/// Opens the per-half instrumentation exactly as the dedicated path
-/// would see it: a session scope attributing every emission to the
+/// Runs one half of a session inside the instrumentation the dedicated
+/// path would give it: a session scope attributing every emission to the
 /// session and party, the session's distributed trace scope (so every
 /// span and message the half emits carries the trace context), the busy
-/// gauge, and the half's "session" span. Returns the scope guards and
-/// the open span; the caller finishes the span with the endpoint's final
-/// stats so the two session spans of a session sum to exactly its
+/// gauge, and the half's "session" span — finished with the endpoint's
+/// final stats, so the two session spans of a session sum to exactly its
 /// [`CostReport`].
-fn half_span(
-    session: u64,
+fn in_session_span<T>(
+    slot: &Slot,
     side: Side,
-    trace: Option<obs::TraceContext>,
-) -> (
-    obs::phase::SessionScope,
-    Option<obs::TraceScope>,
-    obs::phase::SpanGuard,
-) {
+    ep: &mut Endpoint,
+    half: impl FnOnce(&mut Endpoint) -> T,
+) -> T {
     let party = if side.is_alice() {
         obs::Party::Alice
     } else {
         obs::Party::Bob
     };
-    let scope = obs::phase::SessionScope::enter(session, party);
-    let trace_scope = trace.map(obs::TraceScope::enter);
+    let _scope = obs::phase::SessionScope::enter(slot.id, party);
+    let _trace = slot.trace.map(obs::TraceScope::enter);
     obs::gauge_add("engine_workers_busy", 1);
-    (scope, trace_scope, obs::phase::span("engine", "session"))
-}
-
-fn finish_half_span(span: obs::phase::SpanGuard, stats: ChannelStats) {
+    let span = obs::phase::span("engine", "session");
+    let result = half(ep);
+    let stats = ep.stats();
     span.finish(obs::CostDelta {
         bits_sent: stats.bits_sent,
         bits_received: stats.bits_received,
         rounds: stats.clock,
     });
     obs::gauge_add("engine_workers_busy", -1);
+    result
 }
 
-/// Settles one session: folds its halves into a [`SessionOutcome`],
-/// records it everywhere an outcome is accounted (registry, lifecycle
-/// events, metrics, conformance), and streams it out. Shared by the
-/// single-session and batch paths, so both settle identically.
-#[allow(clippy::too_many_arguments)]
-fn emit_outcome(
-    ctx: &WorkerCtx,
-    request: SessionRequest,
-    choice: ProtocolChoice,
-    protocol_name: String,
-    res_a: Result<ElementSet, ProtocolError>,
-    res_b: Result<ElementSet, ProtocolError>,
-    report: CostReport,
+/// The bookkeeping every finished session gets, two-party or m-party:
+/// its lifecycle instant, the completed/failed counter, the flight
+/// record, the latency and waterfall-segment observations, and its
+/// in-flight slot back.
+fn settle(
+    id: u64,
+    trace: Option<obs::TraceContext>,
+    succeeded: bool,
+    total_bits: u64,
     latency_micros: u64,
-    stamps: TimelineStamps,
-    trace: Option<Vec<PhaseSummary>>,
+    timeline: &SessionTimeline,
 ) {
-    let error = match (&res_a, &res_b) {
-        (Ok(_), Ok(_)) => None,
-        (Err(e), Ok(_)) | (Ok(_), Err(e)) => Some(e.clone()),
-        (Err(ea), Err(eb)) => Some(primary_error(ea.clone(), eb.clone())),
+    let (event, counter, code) = if succeeded {
+        (
+            "complete",
+            "engine_sessions_completed",
+            obs::flight::CODE_COMPLETE,
+        )
+    } else {
+        ("fail", "engine_sessions_failed", obs::flight::CODE_FAIL)
     };
-    let timeline = stamps.settle();
-    let outcome = SessionOutcome {
-        request,
-        protocol: choice,
-        protocol_name,
-        alice: res_a.ok(),
-        bob: res_b.ok(),
-        error,
-        report,
-        latency_micros,
-        timeline,
-        trace,
-    };
+    lifecycle(event, id, trace);
+    obs::counter_add(counter, 1);
+    obs::flight::record(code, id, total_bits, latency_micros);
+    obs::observe("engine_session_latency_micros", latency_micros);
+    if obs::enabled() {
+        for (segment, micros) in timeline.segments() {
+            obs::observe(
+                &obs::metrics::labeled("engine_segment_micros", &[("segment", segment)]),
+                micros,
+            );
+        }
+    }
+    obs::gauge_add("engine_in_flight", -1);
+}
+
+/// Settles one two-party session: records its outcome everywhere one is
+/// accounted (registry, lifecycle events, metrics, conformance,
+/// calibration) and streams it out.
+fn emit_outcome(ctx: &WorkerCtx, outcome: SessionOutcome) {
+    let report = outcome.report;
+    let latency_micros = outcome.latency_micros;
     ctx.registry.record_outcome(
         outcome.request.id,
         &outcome.protocol_name,
         &report,
         outcome.succeeded(),
-        outcome.latency_micros,
+        latency_micros,
+    );
+    settle(
+        outcome.request.id,
+        outcome.request.trace,
+        outcome.succeeded(),
+        report.total_bits(),
+        latency_micros,
+        &outcome.timeline,
     );
     if outcome.succeeded() {
-        lifecycle("complete", outcome.request.id, outcome.request.trace);
-        obs::counter_add("engine_sessions_completed", 1);
-        obs::flight::record(
-            obs::flight::CODE_COMPLETE,
-            outcome.request.id,
-            report.total_bits(),
-            outcome.latency_micros,
-        );
         // The report hook: every successful session is checked against
         // its calibrated theory envelope the moment it settles.
         if let Some((config, monitor)) = &ctx.conformance {
@@ -496,341 +483,172 @@ fn emit_outcome(
                 report.rounds,
             );
         }
-    } else {
-        lifecycle("fail", outcome.request.id, outcome.request.trace);
-        obs::counter_add("engine_sessions_failed", 1);
-        obs::flight::record(
-            obs::flight::CODE_FAIL,
-            outcome.request.id,
-            report.total_bits(),
-            outcome.latency_micros,
-        );
     }
     obs::counter_add("engine_bits_total", report.total_bits());
-    obs::observe("engine_session_latency_micros", outcome.latency_micros);
     obs::observe("engine_session_bits", report.total_bits());
-    if obs::enabled() {
-        for (segment, micros) in timeline.segments() {
-            obs::observe(
-                &obs::metrics::labeled("engine_segment_micros", &[("segment", segment)]),
-                micros,
-            );
-        }
-    }
-    obs::gauge_add("engine_in_flight", -1);
     let _ = ctx.outcome_tx.send(outcome);
 }
 
-/// Runs one whole session on this worker's reusable runner and emits
-/// its outcome.
-fn run_session(runner: &mut SessionRunner, task: SessionTask, ctx: &WorkerCtx) {
-    let started_at = Instant::now();
-    let SessionTask {
-        request,
-        choice,
-        plan,
-        traced,
-        submitted_at,
-        dispatched_at,
-        admitted_at,
-    } = task;
-    let id = request.id;
-    let trace_ctx = request.trace;
-    let pair = request.input_pair();
-    // `coin_seed`, not `seed`: a stream-tagged request resubmitted alone
-    // must reproduce its streamed transcript bit for bit.
-    let cfg = RunConfig::with_seed(request.coin_seed());
-    let coins_ready_at = Instant::now();
+/// Both halves' results and the exact cost of one engine session.
+type PairParts = SessionParts<ElementSet, ElementSet>;
 
-    // Alice's half runs on this thread, so it can hand the trace log out
-    // through a captured slot; Bob's half runs on the runner's paired
-    // thread and owns its captures.
-    let mut trace_events: Option<Vec<intersect_comm::trace::TraceEvent>> = None;
-    let alice_input = pair.s;
-    let bob_input = pair.t;
-    let plan_a = Arc::clone(&plan);
-    let plan_b = Arc::clone(&plan);
-    let events_slot = &mut trace_events;
-
-    let parts = runner.run_parts(
-        &cfg,
-        move |ep: &mut Endpoint, coins: &CoinSource| {
-            let (_scope, _trace, span) = half_span(id, Side::Alice, trace_ctx);
-            let (result, stats) = if traced {
-                let mut tr = Traced::new(ep);
-                let result = plan_a.execute(&mut tr, coins, Side::Alice, &alice_input);
-                let stats = tr.stats();
-                *events_slot = Some(tr.into_events());
-                (result, stats)
-            } else {
-                let result = plan_a.execute(ep, coins, Side::Alice, &alice_input);
-                (result, ep.stats())
-            };
-            finish_half_span(span, stats);
-            result
-        },
-        move |ep: &mut Endpoint, coins: &CoinSource| {
-            let (_scope, _trace, span) = half_span(id, Side::Bob, trace_ctx);
-            let result = plan_b.execute(ep, coins, Side::Bob, &bob_input);
-            finish_half_span(span, ep.stats());
-            result
-        },
-    );
-    let executed_at = Instant::now();
-
-    let (res_a, res_b, report) = match parts {
-        Ok(parts) => (parts.alice, parts.bob, parts.report),
-        // Runner infrastructure failure: both halves share the blame and
-        // no bits were reliably metered.
-        Err(e) => (Err(e.clone()), Err(e), CostReport::default()),
-    };
-    let trace = trace_events.as_deref().map(round_summaries);
-    emit_outcome(
-        ctx,
-        request,
-        choice,
-        plan.name(),
-        res_a,
-        res_b,
-        report,
-        admitted_at.elapsed().as_micros() as u64,
-        TimelineStamps {
-            submitted_at,
-            dispatched_at,
-            planned_at: admitted_at,
-            started_at,
-            coins_ready_at,
-            executed_at,
-        },
-        trace,
-    );
+/// What both halves of one session of a block read: built once on the
+/// worker, shared with the runner's paired thread.
+struct Slot {
+    id: u64,
+    trace: Option<obs::TraceContext>,
+    /// This is the configured [`EngineConfig::debug_session`].
+    traced: bool,
+    inputs: InputPair,
 }
 
-/// One finished session from a batch: each party's output and the cost report.
-type SessionResults = (
-    Result<ElementSet, ProtocolError>,
-    Result<ElementSet, ProtocolError>,
-    CostReport,
-);
+/// A worker's two-party side: its reusable runner — Alice's half runs on
+/// the worker thread, Bob's on the runner's paired thread — and the two
+/// buffers a block fills, kept warm so a block of one allocates neither.
+struct PairWorker {
+    runner: SessionRunner,
+    seeds: Vec<u64>,
+    settled: Vec<PairParts>,
+    /// The finished block's inputs, freed when the next block starts (and
+    /// before it allocates its own, which then reuse the memory): nothing
+    /// should stand between a block's last outcome and the dispatcher's
+    /// wake-up, and the worker should not reach the job hand-off sooner
+    /// than it did before PR 16 (DESIGN §1.10, *the cliff*).
+    finished: Option<Arc<[Slot]>>,
+}
 
-/// Runs a whole batch back-to-back on this worker's runner: one job
-/// hand-off, one warm channel pair, one coin-source reseed per session.
-/// Session `i` is bit-identical to the same request served alone.
-fn run_batch_session(runner: &mut SessionRunner, task: BatchTask, ctx: &WorkerCtx) {
-    let started_at = Instant::now();
-    let BatchTask {
-        requests,
-        choice,
-        plan,
-        submitted_at,
-        dispatched_at,
-        admitted_at,
-    } = task;
-    let pairs: Vec<InputPair> = requests.iter().map(|r| r.input_pair()).collect();
-    let seeds: Vec<u64> = requests.iter().map(|r| r.coin_seed()).collect();
-    let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-    let traces: Vec<Option<obs::TraceContext>> = requests.iter().map(|r| r.trace).collect();
-    let cfg = RunConfig::with_seed(seeds[0]);
-    let coins_ready_at = Instant::now();
-    let plan_a = Arc::clone(&plan);
-    let plan_b = Arc::clone(&plan);
-    let bob_inputs: Vec<ElementSet> = pairs.iter().map(|p| p.t.clone()).collect();
-    let ids_b = ids.clone();
-    let traces_b = traces.clone();
-
-    let parts = runner.run_batch_parts(
-        &cfg,
-        &seeds,
-        |i, ep: &mut Endpoint, coins: &CoinSource| {
-            let (_scope, _trace, span) = half_span(ids[i], Side::Alice, traces[i]);
-            let result = plan_a.execute(ep, coins, Side::Alice, &pairs[i].s);
-            finish_half_span(span, ep.stats());
-            result
-        },
-        move |i, ep: &mut Endpoint, coins: &CoinSource| {
-            let (_scope, _trace, span) = half_span(ids_b[i], Side::Bob, traces_b[i]);
-            let result = plan_b.execute(ep, coins, Side::Bob, &bob_inputs[i]);
-            finish_half_span(span, ep.stats());
-            result
-        },
-    );
-    let executed_at = Instant::now();
-
-    let sessions: Vec<SessionResults> = match parts {
-        Ok(parts) => parts
-            .into_iter()
-            .map(|p| (p.alice, p.bob, p.report))
-            .collect(),
-        // Runner infrastructure failure fails the whole batch.
-        Err(e) => requests
-            .iter()
-            .map(|_| (Err(e.clone()), Err(e.clone()), CostReport::default()))
-            .collect(),
-    };
-    let latency_micros = admitted_at.elapsed().as_micros() as u64;
-    let stamps = TimelineStamps {
-        submitted_at,
-        dispatched_at,
-        planned_at: admitted_at,
-        started_at,
-        coins_ready_at,
-        executed_at,
-    };
-    for (request, (res_a, res_b, report)) in requests.into_iter().zip(sessions) {
-        emit_outcome(
-            ctx,
-            request,
+impl PairWorker {
+    /// Runs one block whole and emits an outcome per session. A block is
+    /// `(seeds, first stream index, presampled artefact)`: a request-seeded
+    /// block takes them from its requests, a pair-stream block from the
+    /// pair's [`PairContext`], tagging each request with its stream
+    /// index so its outcome is auditable by a standalone rerun. Either
+    /// way session `i` is bit-identical to its (tagged) request served
+    /// alone, and a failing session costs that session only.
+    fn run_pair_sessions(&mut self, task: PairTask, ctx: &WorkerCtx) {
+        let PairTask {
+            mut requests,
             choice,
-            plan.name(),
-            res_a,
-            res_b,
-            report,
-            latency_micros,
-            stamps,
-            None,
-        );
-    }
-}
-
-/// Runs one streamed submission on the pair's affine worker: coin seeds
-/// drawn from the pair's [`PairContext`], input-independent randomness
-/// presampled off the hot path, and the sessions pipelined without
-/// per-session rendezvous. Session `stream = i` is bit-identical to the
-/// tagged request served alone (the coin seed is the same pure function
-/// of `(pair, i)` either way).
-fn run_stream_session(runner: &mut SessionRunner, task: StreamTask, ctx: &WorkerCtx) {
-    let started_at = Instant::now();
-    let StreamTask {
-        mut requests,
-        pair,
-        choice,
-        ctx: pair_ctx,
-        submitted_at,
-        dispatched_at,
-        admitted_at,
-    } = task;
-    let count = requests.len();
-    // The offline phase's output: this block's stream indices and their
-    // pre-derived coin seeds. Tag each request with its index so its
-    // outcome is auditable by a standalone rerun.
-    let (base, seeds) = pair_ctx.take_block(count);
-    for (i, req) in requests.iter_mut().enumerate() {
-        req.pair = Some(pair);
-        req.stream = Some(base + i as u64);
-    }
-    let plan = Arc::clone(pair_ctx.plan());
-    let presampled = plan.presample(&seeds);
-    let pairs: Vec<InputPair> = requests.iter().map(|r| r.input_pair()).collect();
-    let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-    let traces: Vec<Option<obs::TraceContext>> = requests.iter().map(|r| r.trace).collect();
-    let cfg = RunConfig::with_seed(seeds[0]);
-    let coins_ready_at = Instant::now();
-    let plan_a = Arc::clone(&plan);
-    let plan_b = Arc::clone(&plan);
-    let pre_a = presampled.clone();
-    let pre_b = presampled;
-    let bob_inputs: Vec<ElementSet> = pairs.iter().map(|p| p.t.clone()).collect();
-    let ids_b = ids.clone();
-    let traces_b = traces.clone();
-
-    let parts = runner.run_stream_parts(
-        &cfg,
-        &seeds,
-        |i, ep: &mut Endpoint, coins: &CoinSource| {
-            let (_scope, _trace, span) = half_span(ids[i], Side::Alice, traces[i]);
-            let sctx = SessionCtx {
-                index: base + i as u64,
-                slot: i,
-                presampled: pre_a.as_deref(),
-            };
-            let result = plan_a.execute_in(&sctx, ep, coins, Side::Alice, &pairs[i].s);
-            finish_half_span(span, ep.stats());
-            result
-        },
-        move |i, ep: &mut Endpoint, coins: &CoinSource| {
-            let (_scope, _trace, span) = half_span(ids_b[i], Side::Bob, traces_b[i]);
-            let sctx = SessionCtx {
-                index: base + i as u64,
-                slot: i,
-                presampled: pre_b.as_deref(),
-            };
-            let result = plan_b.execute_in(&sctx, ep, coins, Side::Bob, &bob_inputs[i]);
-            finish_half_span(span, ep.stats());
-            result
-        },
-    );
-
-    let mut sessions: Vec<SessionResults> = match parts {
-        Ok(parts) => parts
-            .into_iter()
-            .map(|p| (p.alice, p.bob, p.report))
-            .collect(),
-        // Runner infrastructure failure fails the whole submission.
-        Err(e) => requests
+            source,
+            mut stamps,
+        } = task;
+        stamps.started_at = Instant::now();
+        self.finished = None;
+        let (plan, base, presampled) = match &source {
+            SeedSource::Requests(plan) => {
+                // `coin_seed`, not `seed`: a stream-tagged request
+                // resubmitted alone must reproduce its streamed
+                // transcript bit for bit.
+                self.seeds.clear();
+                self.seeds.extend(requests.iter().map(|r| r.coin_seed()));
+                (Arc::clone(plan), 0, None)
+            }
+            SeedSource::Pair(pair, pair_ctx) => {
+                let (base, seeds) = pair_ctx.take_block(requests.len());
+                self.seeds = seeds;
+                for (i, request) in requests.iter_mut().enumerate() {
+                    request.pair = Some(*pair);
+                    request.stream = Some(base + i as u64);
+                }
+                obs::counter_add("engine_stream_sessions_total", requests.len() as u64);
+                let plan = Arc::clone(pair_ctx.plan());
+                let presampled = plan.presample(&self.seeds);
+                (plan, base, presampled)
+            }
+        };
+        let slots: Arc<[Slot]> = requests
             .iter()
-            .map(|_| (Err(e.clone()), Err(e.clone()), CostReport::default()))
-            .collect(),
-    };
-    // A stream aborts at its first failing session; serve the rest
-    // one-shot on a fresh runner. Coin seeds are pure, so the reruns are
-    // bit-identical to the sessions the stream would have run.
-    if sessions.len() < count {
-        if runner.is_broken() {
-            *runner = SessionRunner::start();
-        }
-        for i in sessions.len()..count {
-            let plan_a = Arc::clone(&plan);
-            let plan_b = Arc::clone(&plan);
-            let cfg = RunConfig::with_seed(seeds[i]);
-            let alice_input = pairs[i].s.clone();
-            let bob_input = pairs[i].t.clone();
-            let id = ids[i];
-            let trace_ctx = traces[i];
-            let res = runner.run_parts(
-                &cfg,
-                move |ep: &mut Endpoint, coins: &CoinSource| {
-                    let (_scope, _trace, span) = half_span(id, Side::Alice, trace_ctx);
-                    let result = plan_a.execute(ep, coins, Side::Alice, &alice_input);
-                    finish_half_span(span, ep.stats());
+            .map(|r| Slot {
+                id: r.id,
+                trace: r.trace,
+                traced: ctx.debug_session == Some(r.id),
+                inputs: r.input_pair(),
+            })
+            .collect();
+        // One name per block, made before the run (it does not depend on
+        // the outcome); the last session takes it, the others copy it.
+        let mut name = plan.name();
+        stamps.coins_ready_at = Instant::now();
+
+        // Alice's half runs on this thread, so it can hand a traced
+        // session's log out through a captured slot; Bob's half runs on
+        // the runner's paired thread and owns its captures.
+        let mut logs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
+        let (plan_b, slots_b, presampled_b) =
+            (Arc::clone(&plan), Arc::clone(&slots), presampled.clone());
+        let mut settled = std::mem::take(&mut self.settled);
+        let run = self.runner.run_block(
+            &RunConfig::default(),
+            &self.seeds,
+            |i, ep: &mut Endpoint, coins: &CoinSource| {
+                let (slot, sctx) = (&slots[i], SessionCtx::in_block(base, i, &presampled));
+                in_session_span(slot, Side::Alice, ep, |ep| {
+                    if !slot.traced {
+                        return plan.execute_in(&sctx, ep, coins, Side::Alice, &slot.inputs.s);
+                    }
+                    let mut tr = Traced::new(ep);
+                    let result =
+                        plan.execute_in(&sctx, &mut tr, coins, Side::Alice, &slot.inputs.s);
+                    logs.push((i, tr.into_events()));
                     result
-                },
-                move |ep: &mut Endpoint, coins: &CoinSource| {
-                    let (_scope, _trace, span) = half_span(id, Side::Bob, trace_ctx);
-                    let result = plan_b.execute(ep, coins, Side::Bob, &bob_input);
-                    finish_half_span(span, ep.stats());
-                    result
-                },
-            );
-            sessions.push(match res {
-                Ok(p) => (p.alice, p.bob, p.report),
-                Err(e) => (Err(e.clone()), Err(e), CostReport::default()),
+                })
+            },
+            move |i, ep: &mut Endpoint, coins: &CoinSource| {
+                let (slot, sctx) = (&slots_b[i], SessionCtx::in_block(base, i, &presampled_b));
+                in_session_span(slot, Side::Bob, ep, |ep| {
+                    plan_b.execute_in(&sctx, ep, coins, Side::Bob, &slot.inputs.t)
+                })
+            },
+            |_, parts| settled.push(parts),
+        );
+        stamps.executed_at = Instant::now();
+
+        if let Err(e) = run {
+            // Runner infrastructure failure: both halves of every session
+            // it did not reach share the blame and no bits were reliably
+            // metered. Only a dead paired thread gets here; replace it.
+            settled.resize_with(requests.len(), || SessionParts {
+                alice: Err(e.clone()),
+                bob: Err(e.clone()),
+                report: CostReport::default(),
             });
+            self.runner = SessionRunner::start();
         }
-    }
-    obs::counter_add("engine_stream_sessions_total", count as u64);
-    let executed_at = Instant::now();
-    let latency_micros = admitted_at.elapsed().as_micros() as u64;
-    let stamps = TimelineStamps {
-        submitted_at,
-        dispatched_at,
-        planned_at: admitted_at,
-        started_at,
-        coins_ready_at,
-        executed_at,
-    };
-    for (request, (res_a, res_b, report)) in requests.into_iter().zip(sessions) {
-        emit_outcome(
-            ctx,
-            request,
-            choice,
-            plan.name(),
-            res_a,
-            res_b,
-            report,
-            latency_micros,
-            stamps,
-            None,
-        );
+        let latency_micros = stamps.latency_micros();
+        let count = requests.len();
+        let requests = std::iter::once(requests.first).chain(requests.rest);
+        for (i, (request, parts)) in requests.zip(settled.drain(..)).enumerate() {
+            // A half that ran ahead of a failure ran twice: its last log
+            // is the one that settled.
+            let log = logs.iter().rfind(|(session, _)| *session == i);
+            // The debug dump: bit totals per round.
+            let trace =
+                log.map(|(_, events)| summarize(events, |ev| format!("round {}", ev.clock)));
+            let error = match (&parts.alice, &parts.bob) {
+                (Ok(_), Ok(_)) => None,
+                (Err(e), Ok(_)) | (Ok(_), Err(e)) => Some(e.clone()),
+                (Err(ea), Err(eb)) => Some(primary_error(ea.clone(), eb.clone())),
+            };
+            let outcome = SessionOutcome {
+                request,
+                protocol: choice,
+                protocol_name: if i + 1 == count {
+                    std::mem::take(&mut name)
+                } else {
+                    name.clone()
+                },
+                alice: parts.alice.ok(),
+                bob: parts.bob.ok(),
+                error,
+                report: parts.report,
+                latency_micros,
+                timeline: stamps.settle(),
+                trace,
+            };
+            emit_outcome(ctx, outcome);
+        }
+        self.settled = settled;
+        self.finished = Some(slots);
     }
 }
 
@@ -850,14 +668,12 @@ fn run_multiparty_session(
     task: MultipartyTask,
     ctx: &WorkerCtx,
 ) {
-    let started_at = Instant::now();
     let MultipartyTask {
         request,
         plan,
-        submitted_at,
-        dispatched_at,
-        admitted_at,
+        mut stamps,
     } = task;
+    stamps.started_at = Instant::now();
     let m = request.players;
     let id = request.id;
     let choice = request.choice;
@@ -866,13 +682,13 @@ fn run_multiparty_session(
         .entry(m)
         .or_insert_with(|| LinkSet::new(m, request.seed, Duration::from_secs(30)));
     links.reset(request.seed);
-    let coins_ready_at = Instant::now();
+    stamps.coins_ready_at = Instant::now();
     obs::gauge_add("engine_workers_busy", 1);
     let spec = request.spec;
     let tree_rounds = request.tree_rounds;
     let run = links.run(|pctx| choice.run_player(spec, tree_rounds, pctx, &sets[pctx.id()]));
     obs::gauge_add("engine_workers_busy", -1);
-    let executed_at = Instant::now();
+    stamps.executed_at = Instant::now();
 
     let (outputs, report, error) = match run {
         Ok(out) => (out.outputs, out.report, None),
@@ -883,16 +699,7 @@ fn run_multiparty_session(
     let verdicts: Vec<Option<bool>> = outputs.iter().map(|o| o.verdict).collect();
     let envelope_bits = request.envelope_bits(&plan);
     let within_envelope = (report.max_bits_per_player() as f64) <= envelope_bits;
-    let latency_micros = admitted_at.elapsed().as_micros() as u64;
-    let timeline = TimelineStamps {
-        submitted_at,
-        dispatched_at,
-        planned_at: admitted_at,
-        started_at,
-        coins_ready_at,
-        executed_at,
-    }
-    .settle();
+    let latency_micros = stamps.latency_micros();
     let outcome = MultipartySessionOutcome {
         request,
         holder,
@@ -903,62 +710,36 @@ fn run_multiparty_session(
         envelope_bits,
         within_envelope,
         latency_micros,
-        timeline,
+        timeline: stamps.settle(),
     };
-    let succeeded = outcome.succeeded();
+    let report = &outcome.report;
     ctx.registry.record_multiparty(
         id,
         choice.name(),
         m,
-        &outcome.report,
-        succeeded,
+        report,
+        outcome.succeeded(),
         latency_micros,
     );
-    if succeeded {
-        lifecycle("complete", id, None);
-        obs::counter_add("engine_sessions_completed", 1);
-        obs::flight::record(
-            obs::flight::CODE_COMPLETE,
-            id,
-            outcome.report.total_bits(),
-            latency_micros,
-        );
-    } else {
-        lifecycle("fail", id, None);
-        obs::counter_add("engine_sessions_failed", 1);
-        obs::flight::record(
-            obs::flight::CODE_FAIL,
-            id,
-            outcome.report.total_bits(),
-            latency_micros,
-        );
-    }
+    settle(
+        id,
+        None,
+        outcome.succeeded(),
+        report.total_bits(),
+        latency_micros,
+        &outcome.timeline,
+    );
     obs::counter_add(
         &obs::metrics::labeled("multiparty_sessions_total", &[("m", &m.to_string())]),
         1,
     );
-    obs::counter_add("multiparty_bits_total", outcome.report.total_bits());
-    for (sent, received) in outcome
-        .report
-        .bits_sent
-        .iter()
-        .zip(&outcome.report.bits_received)
-    {
+    obs::counter_add("multiparty_bits_total", report.total_bits());
+    for (sent, received) in report.bits_sent.iter().zip(&report.bits_received) {
         obs::observe("multiparty_player_bits", sent + received);
     }
     if !outcome.within_envelope {
         obs::counter_add("multiparty_envelope_violations_total", 1);
     }
-    obs::observe("engine_session_latency_micros", latency_micros);
-    if obs::enabled() {
-        for (segment, micros) in outcome.timeline.segments() {
-            obs::observe(
-                &obs::metrics::labeled("engine_segment_micros", &[("segment", segment)]),
-                micros,
-            );
-        }
-    }
-    obs::gauge_add("engine_in_flight", -1);
     let _ = ctx.mp_outcome_tx.send(outcome);
 }
 
@@ -1159,11 +940,17 @@ impl Engine {
                     mp_outcome_tx: mp_outcome_tx.clone(),
                     conformance: monitor.as_ref().map(|(cfg, m)| (*cfg, Arc::clone(m))),
                     calibration: calibrator.clone(),
+                    debug_session: config.debug_session,
                 };
                 std::thread::spawn(move || {
                     // Each worker owns one reusable runner for its whole
                     // life: zero thread spawns per session in steady state.
-                    let mut runner = SessionRunner::start();
+                    let mut pairs = PairWorker {
+                        runner: SessionRunner::start(),
+                        seeds: Vec::new(),
+                        settled: Vec::new(),
+                        finished: None,
+                    };
                     // And one reusable link mesh per party count it has
                     // hosted, reset between m-party sessions.
                     let mut link_pool: HashMap<usize, LinkSet> = HashMap::new();
@@ -1171,9 +958,7 @@ impl Engine {
                     // arrives within the window; an idle worker parks.
                     while let Ok(item) = inbox.recv_hot(Duration::MAX, Hot::Yield) {
                         match item {
-                            WorkItem::Single(task) => run_session(&mut runner, task, &ctx),
-                            WorkItem::Batch(task) => run_batch_session(&mut runner, task, &ctx),
-                            WorkItem::Stream(task) => run_stream_session(&mut runner, task, &ctx),
+                            WorkItem::Pair(task) => pairs.run_pair_sessions(task, &ctx),
                             WorkItem::Multiparty(task) => {
                                 run_multiparty_session(&mut link_pool, task, &ctx)
                             }
@@ -1189,7 +974,6 @@ impl Engine {
 
         let dispatcher = {
             let policy = config.policy;
-            let debug_session = config.debug_session;
             let cache = Arc::clone(&cache);
             let pair_contexts = Arc::clone(&pair_contexts);
             let calibrator = calibrator.clone();
@@ -1203,7 +987,9 @@ impl Engine {
                     // A stream block queues on its pair's worker; anything
                     // else needs a worker with nothing to do.
                     let affine = match &submission {
-                        Submission::Stream(pair, ..) => Some(*pair as usize % inbox_txs.len()),
+                        Submission::Pair {
+                            pair: Some(pair), ..
+                        } => Some(*pair as usize % inbox_txs.len()),
                         _ => None,
                     };
                     let target = loop {
@@ -1222,78 +1008,44 @@ impl Engine {
                     };
                     let dispatched_at = Instant::now();
                     let item = match submission {
-                        Submission::Single(request, submitted_at) => {
-                            lifecycle("admit", request.id, request.trace);
-                            obs::gauge_add("engine_queue_depth", -1);
-                            let choice = route_calibrated(&request, policy, calibrator.as_deref());
-                            lifecycle("route", request.id, request.trace);
-                            // One cache lookup replaces per-session
-                            // parameter derivation; a miss prepares once
-                            // for every later session of this shape.
-                            let plan = cache.get_or_prepare(choice, request.spec);
-                            obs::gauge_add("engine_in_flight", 1);
-                            WorkItem::Single(SessionTask {
-                                traced: debug_session == Some(request.id),
-                                request,
-                                choice,
-                                plan,
-                                submitted_at,
-                                dispatched_at,
-                                admitted_at: Instant::now(),
-                            })
-                        }
-                        Submission::Batch(requests, submitted_at) => {
-                            for request in &requests {
+                        Submission::Pair {
+                            requests,
+                            pair,
+                            depth_metric,
+                            submitted_at,
+                        } => {
+                            for request in requests.iter() {
                                 lifecycle("admit", request.id, request.trace);
                             }
                             obs::gauge_add("engine_queue_depth", -(requests.len() as i64));
-                            // submit_batch guarantees a uniform spec and
+                            // Admission guarantees a uniform spec and
                             // override, so the first request routes for all.
-                            let choice =
-                                route_calibrated(&requests[0], policy, calibrator.as_deref());
-                            for request in &requests {
+                            let first = &requests.first;
+                            let choice = route_calibrated(first, policy, calibrator.as_deref());
+                            for request in requests.iter() {
                                 lifecycle("route", request.id, request.trace);
                             }
-                            let plan = cache.get_or_prepare(choice, requests[0].spec);
+                            // One lookup replaces per-session parameter
+                            // derivation, or a pair's whole offline phase:
+                            // a miss pays once for every later block.
+                            let source = match pair {
+                                None => {
+                                    SeedSource::Requests(cache.get_or_prepare(choice, first.spec))
+                                }
+                                Some(pair) => SeedSource::Pair(
+                                    pair,
+                                    pair_contexts.get_or_create(pair, choice, first.spec, &cache),
+                                ),
+                            };
                             obs::gauge_add("engine_in_flight", requests.len() as i64);
-                            obs::observe("engine_batch_depth", requests.len() as u64);
-                            WorkItem::Batch(BatchTask {
+                            if let Some(metric) = depth_metric {
+                                obs::observe(metric, requests.len() as u64);
+                            }
+                            WorkItem::Pair(PairTask {
                                 requests,
                                 choice,
-                                plan,
-                                submitted_at,
-                                dispatched_at,
-                                admitted_at: Instant::now(),
-                            })
-                        }
-                        Submission::Stream(pair, requests, submitted_at) => {
-                            for request in &requests {
-                                lifecycle("admit", request.id, request.trace);
-                            }
-                            obs::gauge_add("engine_queue_depth", -(requests.len() as i64));
-                            // submit_stream guarantees a uniform spec and
-                            // override, so the first request routes for all.
-                            let choice =
-                                route_calibrated(&requests[0], policy, calibrator.as_deref());
-                            for request in &requests {
-                                lifecycle("route", request.id, request.trace);
-                            }
-                            // One context lookup replaces the pair's
-                            // offline phase; a miss forks the pair's coin
-                            // block and reduction slot once for every
-                            // later stream of this pair.
-                            let ctx =
-                                pair_contexts.get_or_create(pair, choice, requests[0].spec, &cache);
-                            obs::gauge_add("engine_in_flight", requests.len() as i64);
-                            obs::observe("engine_stream_depth", requests.len() as u64);
-                            WorkItem::Stream(StreamTask {
-                                requests,
-                                pair,
-                                choice,
-                                ctx,
-                                submitted_at,
-                                dispatched_at,
-                                admitted_at: Instant::now(),
+                                source,
+                                stamps: TimelineStamps::planned(submitted_at, dispatched_at),
                             })
                         }
                         Submission::Multiparty(request, submitted_at) => {
@@ -1312,9 +1064,7 @@ impl Engine {
                             WorkItem::Multiparty(MultipartyTask {
                                 request,
                                 plan,
-                                submitted_at,
-                                dispatched_at,
-                                admitted_at: Instant::now(),
+                                stamps: TimelineStamps::planned(submitted_at, dispatched_at),
                             })
                         }
                     };
@@ -1369,6 +1119,75 @@ impl Engine {
         self.calibrator.clone()
     }
 
+    /// Validates, mints and enqueues one block of two-party sessions: the
+    /// admission behind every pair submit call. `texts` are the shape's
+    /// refusals of an empty and of a mixed block; `wait` blocks on a full
+    /// queue instead of rejecting.
+    fn admit_pair(
+        &self,
+        requests: impl IntoIterator<Item = SessionRequest>,
+        texts: (&str, &str),
+        pair: Option<u64>,
+        depth_metric: Option<&'static str>,
+        wait: bool,
+    ) -> Result<(), SubmitError> {
+        let mut requests = requests.into_iter();
+        let first = requests
+            .next()
+            .ok_or_else(|| SubmitError::Invalid(texts.0.into()))?;
+        let (spec, protocol) = (first.spec, first.protocol);
+        let rest = requests.collect();
+        let mut requests = Requests { first, rest };
+        for request in requests.iter_mut() {
+            request.validate().map_err(SubmitError::Invalid)?;
+            if request.spec != spec || request.protocol != protocol {
+                return Err(SubmitError::Invalid(texts.1.into()));
+            }
+            mint_trace(request);
+        }
+        let count = requests.len();
+        // Who to name in the lifecycle instants below, gathered before
+        // the requests move into the queue — and only if someone listens.
+        let tags: Vec<(u64, Option<obs::TraceContext>)> = if obs::enabled() {
+            requests.iter().map(|r| (r.id, r.trace)).collect()
+        } else {
+            Vec::new()
+        };
+        let submission = Submission::Pair {
+            requests,
+            pair,
+            depth_metric,
+            submitted_at: Instant::now(),
+        };
+        let sent = if wait {
+            let gone = |e: crossbeam_channel::SendError<_>| TrySendError::Disconnected(e.0);
+            self.admit_tx.send(submission).map_err(gone)
+        } else {
+            self.admit_tx.try_send(submission)
+        };
+        match sent {
+            Ok(()) => {
+                (0..count).for_each(|_| self.registry.record_submitted());
+                for (id, trace) in tags {
+                    lifecycle("submit", id, trace);
+                }
+                obs::counter_add("engine_sessions_submitted", count as u64);
+                obs::gauge_add("engine_queue_depth", count as i64);
+                Ok(())
+            }
+            Err(TrySendError::Full(Submission::Pair { requests, .. })) => {
+                for request in requests.iter() {
+                    self.registry.record_rejected();
+                    lifecycle("reject", request.id, request.trace);
+                    obs::flight::record(obs::flight::CODE_REJECT, request.id, 0, 0);
+                }
+                obs::counter_add("engine_sessions_rejected", count as u64);
+                Err(SubmitError::Rejected { queue_full: true })
+            }
+            Err(_) => Err(SubmitError::Rejected { queue_full: false }),
+        }
+    }
+
     /// Non-blocking admission: rejects immediately when the queue is full.
     ///
     /// # Errors
@@ -1376,31 +1195,8 @@ impl Engine {
     /// [`SubmitError::Rejected`] with `queue_full: true` under
     /// backpressure, and [`SubmitError::Invalid`] for infeasible requests
     /// (which never reach the queue).
-    pub fn try_submit(&self, mut request: SessionRequest) -> Result<(), SubmitError> {
-        request.validate().map_err(SubmitError::Invalid)?;
-        mint_trace(&mut request);
-        let id = request.id;
-        let trace = request.trace;
-        match self
-            .admit_tx
-            .try_send(Submission::Single(request, Instant::now()))
-        {
-            Ok(()) => {
-                self.registry.record_submitted();
-                lifecycle("submit", id, trace);
-                obs::counter_add("engine_sessions_submitted", 1);
-                obs::gauge_add("engine_queue_depth", 1);
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                self.registry.record_rejected();
-                lifecycle("reject", id, trace);
-                obs::counter_add("engine_sessions_rejected", 1);
-                obs::flight::record(obs::flight::CODE_REJECT, id, 0, 0);
-                Err(SubmitError::Rejected { queue_full: true })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::Rejected { queue_full: false }),
-        }
+    pub fn try_submit(&self, request: SessionRequest) -> Result<(), SubmitError> {
+        self.admit_pair([request], ("", ""), None, None, false)
     }
 
     /// Blocking admission: waits for queue space instead of rejecting.
@@ -1409,59 +1205,27 @@ impl Engine {
     ///
     /// [`SubmitError::Invalid`] for infeasible requests;
     /// [`SubmitError::Rejected`] only if the engine is shutting down.
-    pub fn submit(&self, mut request: SessionRequest) -> Result<(), SubmitError> {
-        request.validate().map_err(SubmitError::Invalid)?;
-        mint_trace(&mut request);
-        let id = request.id;
-        let trace = request.trace;
-        self.admit_tx
-            .send(Submission::Single(request, Instant::now()))
-            .map_err(|_| SubmitError::Rejected { queue_full: false })?;
-        self.registry.record_submitted();
-        lifecycle("submit", id, trace);
-        obs::counter_add("engine_sessions_submitted", 1);
-        obs::gauge_add("engine_queue_depth", 1);
-        Ok(())
+    pub fn submit(&self, request: SessionRequest) -> Result<(), SubmitError> {
+        self.admit_pair([request], ("", ""), None, None, true)
     }
 
     /// Blocking batch admission: `requests.len()` same-spec sessions
-    /// that will run back-to-back on one worker's warm runner with a
-    /// single plan-cache lookup, one coin-source reseed per session.
-    /// Each session settles as its own [`SessionOutcome`], bit-identical
-    /// to the same request submitted alone; the batch occupies one
-    /// in-flight slot.
+    /// that will run back-to-back as one block on one worker's warm
+    /// runner with a single plan-cache lookup. Each session settles as
+    /// its own [`SessionOutcome`], bit-identical to the same request
+    /// submitted alone; the batch occupies one in-flight slot.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Invalid`] if the batch is empty, any request is
     /// infeasible, or the requests disagree on spec or protocol
     /// override; [`SubmitError::Rejected`] only on shutdown.
-    pub fn submit_batch(&self, mut requests: Vec<SessionRequest>) -> Result<(), SubmitError> {
-        let first = requests
-            .first()
-            .ok_or_else(|| SubmitError::Invalid("empty batch".into()))?;
-        let (spec, protocol) = (first.spec, first.protocol);
-        for request in &mut requests {
-            request.validate().map_err(SubmitError::Invalid)?;
-            if request.spec != spec || request.protocol != protocol {
-                return Err(SubmitError::Invalid(
-                    "batch requests must share one spec and protocol override".into(),
-                ));
-            }
-            mint_trace(request);
-        }
-        let tags: Vec<(u64, Option<obs::TraceContext>)> =
-            requests.iter().map(|r| (r.id, r.trace)).collect();
-        self.admit_tx
-            .send(Submission::Batch(requests, Instant::now()))
-            .map_err(|_| SubmitError::Rejected { queue_full: false })?;
-        for (id, trace) in &tags {
-            self.registry.record_submitted();
-            lifecycle("submit", *id, *trace);
-        }
-        obs::counter_add("engine_sessions_submitted", tags.len() as u64);
-        obs::gauge_add("engine_queue_depth", tags.len() as i64);
-        Ok(())
+    pub fn submit_batch(&self, requests: Vec<SessionRequest>) -> Result<(), SubmitError> {
+        let texts = (
+            "empty batch",
+            "batch requests must share one spec and protocol override",
+        );
+        self.admit_pair(requests, texts, None, Some("engine_batch_depth"), true)
     }
 
     /// Blocking admission of one m-party session: the engine regenerates
@@ -1502,8 +1266,8 @@ impl Engine {
     }
 
     /// Blocking stream admission: `requests.len()` same-spec sessions of
-    /// one client pair, pipelined on the pair's affine worker with coin
-    /// seeds drawn from the pair's [`PairContext`]. Each session settles
+    /// one client pair, run as one block on the pair's affine worker with
+    /// coin seeds drawn from the pair's [`PairContext`]. Each session settles
     /// as its own [`SessionOutcome`] whose request carries `pair`/`stream`
     /// tags, bit-identical to that tagged request submitted alone; the
     /// submission occupies one in-flight slot.
@@ -1516,33 +1280,14 @@ impl Engine {
     pub fn submit_stream(
         &self,
         stream: StreamId,
-        mut requests: Vec<SessionRequest>,
+        requests: Vec<SessionRequest>,
     ) -> Result<(), SubmitError> {
-        let first = requests
-            .first()
-            .ok_or_else(|| SubmitError::Invalid("empty stream submission".into()))?;
-        let (spec, protocol) = (first.spec, first.protocol);
-        for request in &mut requests {
-            request.validate().map_err(SubmitError::Invalid)?;
-            if request.spec != spec || request.protocol != protocol {
-                return Err(SubmitError::Invalid(
-                    "stream requests must share one spec and protocol override".into(),
-                ));
-            }
-            mint_trace(request);
-        }
-        let tags: Vec<(u64, Option<obs::TraceContext>)> =
-            requests.iter().map(|r| (r.id, r.trace)).collect();
-        self.admit_tx
-            .send(Submission::Stream(stream.pair, requests, Instant::now()))
-            .map_err(|_| SubmitError::Rejected { queue_full: false })?;
-        for (id, trace) in &tags {
-            self.registry.record_submitted();
-            lifecycle("submit", *id, *trace);
-        }
-        obs::counter_add("engine_sessions_submitted", tags.len() as u64);
-        obs::gauge_add("engine_queue_depth", tags.len() as i64);
-        Ok(())
+        let texts = (
+            "empty stream submission",
+            "stream requests must share one spec and protocol override",
+        );
+        let depth = Some("engine_stream_depth");
+        self.admit_pair(requests, texts, Some(stream.pair), depth, true)
     }
 
     /// The engine's shared plan cache: dispatch goes through it, and
@@ -1889,20 +1634,154 @@ mod tests {
     fn debug_session_records_a_phase_breakdown() {
         let mut config = EngineConfig::new(2);
         config.debug_session = Some(7);
+        let check = |report: &EngineReport| {
+            let mut flagged = None;
+            for outcome in &report.outcomes {
+                if outcome.request.id == 7 {
+                    let trace = outcome.trace.clone().expect("flagged session traced");
+                    assert!(!trace.is_empty());
+                    let traced_bits: u64 =
+                        trace.iter().map(|p| p.bits_sent + p.bits_received).sum();
+                    assert_eq!(traced_bits, outcome.report.total_bits());
+                    flagged = Some(trace);
+                } else {
+                    assert!(outcome.trace.is_none(), "only the flagged session traces");
+                }
+            }
+            flagged.expect("session 7 settled")
+        };
         let engine = Engine::start(config);
         for req in mixed_requests(9) {
             engine.submit(req).unwrap();
         }
-        let report = engine.finish();
-        for outcome in &report.outcomes {
-            if outcome.request.id == 7 {
-                let trace = outcome.trace.as_ref().expect("flagged session traced");
-                assert!(!trace.is_empty());
-                let traced_bits: u64 = trace.iter().map(|p| p.bits_sent + p.bits_received).sum();
-                assert_eq!(traced_bits, outcome.report.total_bits());
-            } else {
-                assert!(outcome.trace.is_none(), "only the flagged session traces");
+        check(&engine.finish());
+
+        // The flag follows the id into a block, whichever call submitted
+        // it: same session (a deterministic protocol, so the pair-stream
+        // coin seed changes nothing), same per-round summary.
+        let spec = ProblemSpec::new(1 << 16, 16);
+        let requests: Vec<SessionRequest> = (0..9)
+            .map(|id| {
+                let mut req = SessionRequest::new(id, spec, id as usize);
+                req.protocol = Some(ProtocolChoice::Trivial);
+                req
+            })
+            .collect();
+        type Submit<'a> = &'a dyn Fn(&Engine, Vec<SessionRequest>);
+        let submits: [Submit; 3] = [
+            &|engine, requests| requests.into_iter().for_each(|r| engine.submit(r).unwrap()),
+            &|engine, requests| engine.submit_batch(requests).unwrap(),
+            &|engine, requests| {
+                let stream = engine.open_stream(3);
+                engine.submit_stream(stream, requests).unwrap()
+            },
+        ];
+        let traces = submits.map(|submit| {
+            let engine = Engine::start(config);
+            submit(&engine, requests.clone());
+            check(&engine.finish())
+        });
+        assert_eq!(traces[0], traces[1], "single vs batch");
+        assert_eq!(traces[0], traces[2], "single vs stream");
+    }
+
+    /// `inner`, except that Bob refuses the one input `refused`.
+    #[derive(Debug)]
+    struct RefusesOne {
+        inner: Arc<dyn PreparedProtocol>,
+        refused: ElementSet,
+    }
+
+    impl PreparedProtocol for RefusesOne {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn spec(&self) -> ProblemSpec {
+            self.inner.spec()
+        }
+
+        fn execute(
+            &self,
+            chan: &mut dyn Chan,
+            coins: &CoinSource,
+            side: Side,
+            input: &ElementSet,
+        ) -> Result<ElementSet, ProtocolError> {
+            if side == Side::Bob && *input == self.refused {
+                return Err(ProtocolError::InvalidInput("refused".into()));
             }
+            self.inner.execute(chan, coins, side, input)
+        }
+    }
+
+    #[test]
+    fn a_failing_slot_costs_that_slot_only_in_either_block_shape() {
+        // No catalogue protocol fails on a request that passes admission,
+        // so the failing plan goes in where `submit_batch` and
+        // `submit_stream` meet: the one body both dispatch to.
+        use intersect_core::prepared::execute_prepared;
+        let spec = ProblemSpec::new(1 << 18, 32);
+        let choice = ProtocolChoice::Sqrt;
+        let requests: Vec<SessionRequest> = (0..6)
+            .map(|id| {
+                let mut req = SessionRequest::new(id, spec, (id * 5) as usize);
+                req.seed = id * 13 + 2;
+                req
+            })
+            .collect();
+        let inner = choice.build(spec).prepare(spec);
+        let plan: Arc<dyn PreparedProtocol> = Arc::new(RefusesOne {
+            inner: Arc::clone(&inner),
+            refused: requests[2].input_pair().t,
+        });
+        let sources = [
+            SeedSource::Requests(Arc::clone(&plan)),
+            SeedSource::Pair(9, Arc::new(PairContext::new(plan, 9))),
+        ];
+        for source in sources {
+            let (outcome_tx, outcome_rx) = unbounded();
+            let ctx = WorkerCtx {
+                registry: Arc::new(Registry::with_capacity(8)),
+                outcome_tx,
+                mp_outcome_tx: unbounded().0,
+                conformance: None,
+                calibration: None,
+                debug_session: None,
+            };
+            let mut worker = PairWorker {
+                runner: SessionRunner::start(),
+                seeds: Vec::new(),
+                settled: Vec::new(),
+                finished: None,
+            };
+            let task = PairTask {
+                requests: Requests {
+                    first: requests[0].clone(),
+                    rest: requests[1..].to_vec(),
+                },
+                choice,
+                source,
+                stamps: TimelineStamps::planned(Instant::now(), Instant::now()),
+            };
+            worker.run_pair_sessions(task, &ctx);
+            let outcomes: Vec<SessionOutcome> = outcome_rx.try_iter().collect();
+            assert_eq!(outcomes.len(), requests.len());
+            for (i, outcome) in outcomes.iter().enumerate() {
+                let req = &outcome.request;
+                assert_eq!(req.id, i as u64, "outcomes settle in block order");
+                if i == 2 {
+                    let refused = ProtocolError::InvalidInput("refused".into());
+                    assert_eq!(outcome.error, Some(refused));
+                    continue;
+                }
+                let solo = execute_prepared(&inner, &req.input_pair(), req.coin_seed()).unwrap();
+                assert_eq!(outcome.error, None, "session {i}");
+                assert_eq!(outcome.report, solo.report, "session {i}");
+                assert_eq!(outcome.alice.as_ref(), Some(&solo.alice), "session {i}");
+                assert_eq!(outcome.bob.as_ref(), Some(&solo.bob), "session {i}");
+            }
+            assert!(!worker.runner.is_broken());
         }
     }
 

@@ -104,6 +104,25 @@ pub(crate) struct TimelineStamps {
 }
 
 impl TimelineStamps {
+    /// A task's stamps as it leaves the dispatcher: planned now, the
+    /// worker's three stamps still to come.
+    pub(crate) fn planned(submitted_at: Instant, dispatched_at: Instant) -> Self {
+        let planned_at = Instant::now();
+        TimelineStamps {
+            submitted_at,
+            dispatched_at,
+            planned_at,
+            started_at: planned_at,
+            coins_ready_at: planned_at,
+            executed_at: planned_at,
+        }
+    }
+
+    /// Admission until now: the latency an outcome reports.
+    pub(crate) fn latency_micros(&self) -> u64 {
+        self.planned_at.elapsed().as_micros() as u64
+    }
+
     /// Closes the waterfall now: each segment is the span between two
     /// consecutive stamps, so the segments tile submitted-to-settled by
     /// construction. Saturating, so clock adjustments can't panic.

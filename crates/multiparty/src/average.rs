@@ -16,7 +16,7 @@
 use crate::common::{certified_pairwise, pair_label, partition, PairwiseConfig};
 use intersect_comm::error::ProtocolError;
 use intersect_comm::net::{run_network, NetworkConfig, PartyCtx};
-use intersect_comm::runner::Side;
+use intersect_comm::runner::{contained, Side};
 use intersect_comm::stats::NetworkReport;
 use intersect_core::sets::{ElementSet, ProblemSpec};
 
@@ -148,20 +148,27 @@ impl AverageCase {
                         let coins = coins_root.fork(&pair_label("avg", level, me, peer));
                         let base = base.clone();
                         scope.spawn(move || {
-                            let r = certified_pairwise(
-                                pairwise,
-                                &mut link,
-                                &coins,
-                                Side::Alice,
-                                spec,
-                                &base,
-                            );
+                            // Contained here, so a panicking half fails
+                            // its pairwise run and the link still returns.
+                            let r = contained(Side::Alice, || {
+                                certified_pairwise(
+                                    pairwise,
+                                    &mut link,
+                                    &coins,
+                                    Side::Alice,
+                                    spec,
+                                    &base,
+                                )
+                            });
                             (peer, link, r)
                         })
                     })
                     .collect::<Vec<_>>()
                     .into_iter()
-                    .map(|h| h.join().expect("pairwise worker panicked"))
+                    .map(|h| {
+                        h.join()
+                            .expect("a half's panic is contained inside its worker")
+                    })
                     .collect()
             });
         let mut acc = base.clone();

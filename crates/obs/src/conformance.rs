@@ -266,6 +266,16 @@ impl ConformanceMonitor {
 mod tests {
     use super::*;
     use crate::subscriber::Subscriber;
+    use std::sync::MutexGuard;
+
+    /// Every `check` counts on whichever subscriber is installed in the
+    /// process, so a test that reads that counter and the tests that bump
+    /// it run one at a time.
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+    fn one_at_a_time() -> MutexGuard<'static, ()> {
+        ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn envelope() -> Envelope {
         Envelope {
@@ -277,6 +287,7 @@ mod tests {
 
     #[test]
     fn conforming_sessions_leave_health_ok() {
+        let _guard = one_at_a_time();
         let m = ConformanceMonitor::new();
         for _ in 0..10 {
             assert_eq!(m.check(&envelope(), 499, 12), 0);
@@ -289,6 +300,7 @@ mod tests {
 
     #[test]
     fn each_breached_bound_counts_separately() {
+        let _guard = one_at_a_time();
         let m = ConformanceMonitor::new();
         assert_eq!(m.check(&envelope(), 501, 13), 2);
         assert_eq!(m.check(&envelope(), 501, 1), 1);
@@ -305,6 +317,7 @@ mod tests {
 
     #[test]
     fn violations_reach_the_installed_metrics_registry() {
+        let _guard = one_at_a_time();
         let sub = Subscriber::new();
         let _g = sub.install();
         let before_checks = sub.metrics().counter("conformance_checks_total");
@@ -327,6 +340,7 @@ mod tests {
 
     #[test]
     fn violation_retention_is_capped_but_counts_are_not() {
+        let _guard = one_at_a_time();
         let m = ConformanceMonitor::new();
         for _ in 0..(KEPT_VIOLATIONS + 10) {
             m.check(&envelope(), 501, 1);

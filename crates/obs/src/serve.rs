@@ -367,6 +367,16 @@ pub fn http_get(addr: SocketAddr, path_and_query: &str) -> std::io::Result<(u16,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Every request counts itself on whichever subscriber is installed
+    /// in the process, so the tests that read those counters and the
+    /// tests that send requests run one at a time.
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+    fn one_at_a_time() -> MutexGuard<'static, ()> {
+        ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn test_sources(health: Arc<Health>) -> Sources {
         Sources {
@@ -383,6 +393,7 @@ mod tests {
 
     #[test]
     fn serves_all_endpoints() {
+        let _guard = one_at_a_time();
         let health = Arc::new(Health::default());
         let server =
             TelemetryServer::start("127.0.0.1:0", test_sources(Arc::clone(&health))).unwrap();
@@ -429,6 +440,7 @@ mod tests {
 
     #[test]
     fn trace_requests_404_on_unknown_or_malformed_sessions_and_fold_the_counter_label() {
+        let _guard = one_at_a_time();
         let sub = crate::Subscriber::new();
         let _g = sub.install();
         let health = Arc::new(Health::default());
@@ -451,6 +463,7 @@ mod tests {
 
     #[test]
     fn healthz_degrades_after_a_violation() {
+        let _guard = one_at_a_time();
         let health = Arc::new(Health::default());
         let server =
             TelemetryServer::start("127.0.0.1:0", test_sources(Arc::clone(&health))).unwrap();
@@ -462,6 +475,7 @@ mod tests {
 
     #[test]
     fn healthz_degrades_on_calibration_drift() {
+        let _guard = one_at_a_time();
         let health = Arc::new(Health::default());
         let server =
             TelemetryServer::start("127.0.0.1:0", test_sources(Arc::clone(&health))).unwrap();
@@ -479,6 +493,7 @@ mod tests {
 
     #[test]
     fn unknown_paths_methods_and_weights_are_rejected() {
+        let _guard = one_at_a_time();
         let server = TelemetryServer::start("127.0.0.1:0", Sources::empty()).unwrap();
         let addr = server.local_addr();
         let (status, _) = http_get(addr, "/nope").unwrap();
@@ -497,6 +512,7 @@ mod tests {
 
     #[test]
     fn scrapes_count_themselves_when_a_subscriber_is_installed() {
+        let _guard = one_at_a_time();
         let sub = crate::Subscriber::new();
         let _g = sub.install();
         let server = TelemetryServer::start("127.0.0.1:0", Sources::empty()).unwrap();
@@ -514,6 +530,7 @@ mod tests {
 
     #[test]
     fn oversized_request_heads_are_rejected() {
+        let _guard = one_at_a_time();
         let server = TelemetryServer::start("127.0.0.1:0", Sources::empty()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let huge = format!("GET /{} HTTP/1.1\r\n", "x".repeat(MAX_REQUEST_HEAD + 1024));

@@ -210,23 +210,12 @@ fn main() -> ExitCode {
     let results = if opts.stream >= 1 {
         // One client-pair stream: the context forks the pair's coin
         // block (session i's coins come from stream_session_seed(seed,
-        // i)) and presamples input-independent randomness once; the
-        // sessions pipeline on one warm runner without per-session
-        // rendezvous. Inputs follow the --repeat convention: session 0
-        // replays the files, later sessions draw fresh pairs.
+        // i)) and presamples input-independent randomness once. Inputs
+        // follow the --repeat convention: session 0 replays the files,
+        // later sessions draw fresh pairs.
         let pairs = session_inputs(&pair, spec, opts.seed, opts.stream);
-        let ctx = PairContext::new(std::sync::Arc::clone(&plan), opts.seed);
-        let out = match execute_prepared_stream(&ctx, &pairs) {
-            Ok(results) => results,
-            Err(e) => {
-                eprintln!("protocol error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        stream_ctx = Some(ctx);
-        out
-    } else if opts.repeat == 1 {
-        vec![execute_prepared(&plan, &pair, opts.seed)]
+        let ctx = stream_ctx.insert(PairContext::new(std::sync::Arc::clone(&plan), opts.seed));
+        execute_prepared_stream(ctx, &pairs)
     } else {
         // Repeat 0 replays the file inputs (bit-identical to a single run
         // with the same seed); later repeats draw fresh pairs of the same
@@ -235,12 +224,13 @@ fn main() -> ExitCode {
         let seeds: Vec<u64> = (0..opts.repeat)
             .map(|i| opts.seed.wrapping_add(i))
             .collect();
-        match execute_prepared_batch(&plan, &pairs, &seeds) {
-            Ok(results) => results,
-            Err(e) => {
-                eprintln!("protocol error: {e}");
-                return ExitCode::FAILURE;
-            }
+        execute_prepared_batch(&plan, &pairs, &seeds)
+    };
+    let results = match results {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!("protocol error: {e}");
+            return ExitCode::FAILURE;
         }
     };
     let elapsed = started.elapsed();
