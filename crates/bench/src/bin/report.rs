@@ -11,14 +11,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: report [--exp <ID>]... [--all] [--quick] [--json] [--list]\n\
          \n\
-         --exp <ID>          run one experiment (E1..E17, A1..A4); repeatable\n\
-         --all               run every experiment\n\
-         --quick             smaller sweeps and trial counts\n\
-         --json              emit results as JSON instead of markdown\n\
-         --list              list experiment ids and claims\n\
-         --metrics-out <p>   collect observability metrics while the\n\
-                             experiments run and write them to <p> in the\n\
-                             Prometheus text format"
+         --exp <ID>   run one experiment (E1..E15, A1..A4); repeatable\n\
+         --all        run every experiment\n\
+         --quick      smaller sweeps and trial counts\n\
+         --json       emit results as JSON instead of markdown\n\
+         --list       list experiment ids and claims"
     );
     std::process::exit(2);
 }
@@ -38,7 +35,6 @@ fn main() {
     let mut quick = false;
     let mut run_all = false;
     let mut json = false;
-    let mut metrics_out: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -56,10 +52,6 @@ fn main() {
                 Some(id) => ids.push(id.clone()),
                 None => usage(),
             },
-            "--metrics-out" => match it.next() {
-                Some(path) => metrics_out = Some(path.clone()),
-                None => usage(),
-            },
             _ => usage(),
         }
     }
@@ -72,13 +64,6 @@ fn main() {
     if ids.is_empty() {
         usage();
     }
-    // With --metrics-out, experiments run under an installed subscriber
-    // so engine-heavy ones (E16) populate counters and histograms. E17
-    // notices the pre-installed subscriber and shares it.
-    let subscriber = metrics_out
-        .as_ref()
-        .map(|_| intersect_obs::Subscriber::new());
-    let installed = subscriber.as_ref().map(|s| s.install());
     let mut results: Vec<JsonResult> = Vec::new();
     for id in ids {
         let Some(exp) = experiments::find(&id) else {
@@ -115,16 +100,5 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&results).expect("results serialize")
         );
-    }
-    drop(installed);
-    if let (Some(path), Some(sub)) = (&metrics_out, &subscriber) {
-        let text = intersect_obs::export::prometheus(&sub.metrics().snapshot());
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }

@@ -3,22 +3,15 @@
 
 pub mod ablations;
 pub mod apps_exp;
-pub mod calib_exp;
-pub mod engine_exp;
 pub mod equality_exp;
 pub mod multiparty_exp;
-pub mod net_exp;
-pub mod obs_exp;
-pub mod serve_exp;
-pub mod throughput_exp;
-pub mod trace_exp;
 pub mod two_party;
 
 use crate::table::Table;
 
 /// A registered experiment.
 pub struct Experiment {
-    /// Identifier (`E1`…`E12`, `A1`…`A3`).
+    /// Identifier (`E1`…`E15`, `A1`…`A4`).
     pub id: &'static str,
     /// One-line description of the claim it reproduces.
     pub claim: &'static str,
@@ -111,56 +104,6 @@ pub fn all() -> Vec<Experiment> {
             run: two_party::e15,
         },
         Experiment {
-            id: "E16",
-            claim: "Engine: worker pool scales session throughput; per-session costs invariant",
-            run: engine_exp::e16,
-        },
-        Experiment {
-            id: "E17",
-            claim: "Observability: tracing changes zero bits; bounded wall-clock overhead",
-            run: obs_exp::e17,
-        },
-        Experiment {
-            id: "E18",
-            claim: "Substrate: zero-alloc message path + reused runners; costs bit-identical",
-            run: throughput_exp::e18,
-        },
-        Experiment {
-            id: "E19",
-            claim: "Telemetry plane: scrape-under-load changes zero bits; 100% envelope pass rate",
-            run: serve_exp::e19,
-        },
-        Experiment {
-            id: "E20",
-            claim: "Prepared plans: warm-cached and batched sessions beat cold; bits invariant",
-            run: throughput_exp::e20,
-        },
-        Experiment {
-            id: "E21",
-            claim: "Network transport: remote sessions bit-identical to in-process; throughput vs connections",
-            run: net_exp::e21,
-        },
-        Experiment {
-            id: "E22",
-            claim: "Control loop: 8x-miscalibrated router re-converges from residuals; zero flaps; bits exact",
-            run: calib_exp::e22,
-        },
-        Experiment {
-            id: "E23",
-            claim: "Pair streams: setup bits amortize across sessions; pipelined blocks beat the batch baseline",
-            run: throughput_exp::e23,
-        },
-        Experiment {
-            id: "E24",
-            claim: "Trace plane: tracing-on runs bit-identical; remote spans share one trace id; waterfall tiles latency",
-            run: trace_exp::e24,
-        },
-        Experiment {
-            id: "E25",
-            claim: "Party topology: engine-hosted m-party sessions bit-identical to harness runs; throughput vs m at fixed load",
-            run: multiparty_exp::e25,
-        },
-        Experiment {
             id: "A1",
             claim: "Ablation: iterated-log degree schedule vs uniform tree",
             run: ablations::a1,
@@ -195,13 +138,14 @@ mod tests {
     #[test]
     fn registry_covers_all_planned_ids() {
         let ids: Vec<&str> = all().iter().map(|e| e.id).collect();
-        for want in [
+        let want = [
             "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13",
-            "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24", "E25",
-            "A1", "A2", "A3", "A4",
-        ] {
-            assert!(ids.contains(&want), "missing {want}");
-        }
+            "E14", "E15", "A1", "A2", "A3", "A4",
+        ];
+        assert_eq!(
+            ids, want,
+            "the registry holds the paper's experiments, in order"
+        );
     }
 
     #[test]

@@ -1,15 +1,10 @@
-//! Multi-party experiments: E9 (Corollary 4.1), E10 (Corollary 4.2),
-//! and E25 (engine-hosted m-party sessions).
+//! Multi-party experiments: E9 (Corollary 4.1) and E10 (Corollary 4.2).
 
 use crate::table::{fmt_per, Table};
 use crate::workload::Workload;
-use intersect_core::sets::{ElementSet, ProblemSpec};
-use intersect_engine::{Engine, EngineConfig, MultipartyRequest};
+use intersect_core::sets::ElementSet;
 use intersect_multiparty::average::AverageCase;
-use intersect_multiparty::choice::MultipartyChoice;
-use intersect_multiparty::disjointness::MultipartyDisjointness;
 use intersect_multiparty::worst_case::WorstCase;
-use std::time::Instant;
 
 fn ground_truth(sets: &[ElementSet]) -> ElementSet {
     sets.iter()
@@ -132,140 +127,4 @@ pub fn e10(quick: bool) -> Vec<Table> {
         }
     }
     vec![table]
-}
-
-/// Reference run of one multiparty request through the harness alone
-/// (no engine), returning `(result-or-verdict matches truth, report)`.
-fn harness_reference(req: &MultipartyRequest) -> (bool, intersect_comm::stats::NetworkReport) {
-    let sets = req.player_sets();
-    let truth = req.ground_truth();
-    match req.choice {
-        MultipartyChoice::AverageCase => {
-            let out = AverageCase::new(req.spec, req.tree_rounds)
-                .execute(&sets, req.seed)
-                .expect("harness run");
-            (out.result == truth, out.report)
-        }
-        MultipartyChoice::WorstCase => {
-            let out = WorstCase::new(req.spec, req.tree_rounds)
-                .execute(&sets, req.seed)
-                .expect("harness run");
-            (out.result == truth, out.report)
-        }
-        MultipartyChoice::Disjointness => {
-            let out = MultipartyDisjointness::new(req.spec, req.tree_rounds)
-                .execute(&sets, req.seed)
-                .expect("harness run");
-            (out.disjoint == truth.is_empty(), out.report)
-        }
-    }
-}
-
-/// E25 — engine-hosted m-party sessions: every outcome the engine folds
-/// is bit-identical to a harness-only `execute` of the same request, and
-/// sessions/s vs m at a fixed total player load shows what an m-party
-/// session costs the scheduler.
-pub fn e25(quick: bool) -> Vec<Table> {
-    let spec = ProblemSpec::new(1 << 16, 16);
-
-    // E25a — bit-identity: all three protocols at m ∈ {2, 4, 8}, engine
-    // outcomes vs harness-only runs of the identical request.
-    let mut identity = Table::new(
-        "E25a — engine-hosted m-party sessions vs harness-only runs (claim: \
-         identical per-player bit vectors, message counts, and causal rounds \
-         for every protocol and party count)",
-        &["protocol", "m", "total bits", "rounds", "report", "outcome"],
-    );
-    let mut id = 0u64;
-    for choice in MultipartyChoice::ALL {
-        let engine = Engine::start(EngineConfig::new(4));
-        let mut requests = Vec::new();
-        for m in [2usize, 4, 8] {
-            id += 1;
-            let mut req = MultipartyRequest::new(id, spec, m, 4, choice);
-            req.seed = 0xE25 ^ (id << 8);
-            requests.push(req.clone());
-            engine.submit_multiparty(req).expect("engine is accepting");
-        }
-        let report = engine.finish();
-        assert_eq!(report.multiparty.len(), requests.len());
-        for (outcome, req) in report.multiparty.iter().zip(&requests) {
-            let (truth_ok, reference) = harness_reference(req);
-            let identical = outcome.report == reference;
-            let engine_ok = outcome.succeeded();
-            identity.push_row(vec![
-                choice.to_string(),
-                req.players.to_string(),
-                outcome.report.total_bits().to_string(),
-                outcome.report.rounds.to_string(),
-                if identical { "identical" } else { "DIVERGED" }.to_string(),
-                if engine_ok && truth_ok {
-                    "correct"
-                } else {
-                    "WRONG"
-                }
-                .to_string(),
-            ]);
-        }
-    }
-
-    // E25b — throughput at fixed total load: the player-slot budget is
-    // constant, so doubling m halves the session count while the mesh
-    // per session grows; sessions/s isolates the scheduling cost of
-    // wider parties.
-    let slots = if quick { 64u64 } else { 256 };
-    let mut sweep = Table::new(
-        "E25b — engine m-party throughput at fixed total load (player-slot \
-         budget constant across the sweep; per-player bits from the folded \
-         NetworkReports)",
-        &[
-            "m",
-            "sessions",
-            "completed",
-            "sessions/s",
-            "total bits",
-            "avg bits/player",
-            "max bits/player",
-        ],
-    );
-    for m in [2usize, 4, 8, 16] {
-        let sessions = (slots / m as u64).max(1);
-        let engine = Engine::start(EngineConfig::new(4));
-        let start = Instant::now();
-        for i in 0..sessions {
-            let mut req = MultipartyRequest::new(i, spec, m, 4, MultipartyChoice::AverageCase);
-            req.seed = 0xB25 ^ (i << 8);
-            engine.submit_multiparty(req).expect("engine is accepting");
-        }
-        let report = engine.finish();
-        let wall = start.elapsed();
-        let completed = report.multiparty.iter().filter(|o| o.succeeded()).count();
-        let total_bits: u64 = report
-            .multiparty
-            .iter()
-            .map(|o| o.report.total_bits())
-            .sum();
-        let avg_per_player: f64 = report
-            .multiparty
-            .iter()
-            .map(|o| o.report.average_bits_per_player())
-            .sum::<f64>()
-            / report.multiparty.len().max(1) as f64;
-        let max_per_player = report
-            .multiparty
-            .iter()
-            .map(|o| o.report.max_bits_per_player())
-            .max()
-            .unwrap_or(0);
-        sweep.push_row(vec![
-            m.to_string(),
-            sessions.to_string(),
-            completed.to_string(),
-            format!("{:.0}", sessions as f64 / wall.as_secs_f64()),
-            total_bits.to_string(),
-            format!("{avg_per_player:.1}"),
-            max_per_player.to_string(),
-        ]);
-    }
-    vec![identity, sweep]
 }

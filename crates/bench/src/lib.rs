@@ -21,5 +21,4 @@
 pub mod experiments;
 pub mod measure;
 pub mod table;
-pub mod throughput;
 pub mod workload;

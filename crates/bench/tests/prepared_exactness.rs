@@ -13,7 +13,8 @@
 //!   [`Chan`] wrapper on both sides);
 //! - the [`CostReport`] (bits per direction, messages, rounds);
 //! - both parties' output sets;
-//! - and the warm-runner path ([`execute_prepared`]) agrees with both.
+//! - and the warm-runner paths ([`execute_prepared`] and a block of
+//!   sessions through [`execute_prepared_batch`]) agree with both.
 
 use intersect_comm::bits::BitBuf;
 use intersect_comm::chan::Chan;
@@ -150,10 +151,24 @@ fn cached_plans_transmit_byte_identical_transcripts_across_the_catalogue() {
                 .expect("prepared execution succeeds");
             assert_eq!(runner.report, warm.report, "{cell}: runner cost differs");
             assert_eq!(
-                (runner.alice, runner.bob),
-                (warm.alice, warm.bob),
+                (&runner.alice, &runner.bob),
+                (&warm.alice, &warm.bob),
                 "{cell}: runner outputs differ"
             );
+
+            // A block of sessions on that runner: each one is the same
+            // session again, so each must agree as well.
+            let block = execute_prepared_batch(&plan, &[pair.clone(), pair], &[seed, seed])
+                .expect("block executes");
+            for run in block {
+                let run = run.unwrap_or_else(|e| panic!("{cell} block session: {e}"));
+                assert_eq!(run.report, warm.report, "{cell}: block cost differs");
+                assert_eq!(
+                    (&run.alice, &run.bob),
+                    (&warm.alice, &warm.bob),
+                    "{cell}: block outputs differ"
+                );
+            }
         }
     }
     let stats = cache.stats();

@@ -27,7 +27,7 @@ use intersect_comm::bits::{bit_width_for, BitBuf};
 use intersect_comm::chan::Chan;
 use intersect_comm::coins::CoinSource;
 use intersect_comm::encode::{get_gamma0, put_gamma0, RiceSubsetCodec};
-use intersect_comm::error::ProtocolError;
+use intersect_comm::error::{CodecError, ProtocolError};
 use intersect_comm::runner::Side;
 use intersect_hash::tabulation::TabulationHash;
 
@@ -143,9 +143,15 @@ impl Iblt {
     /// Peels the table. On success returns `(positives, negatives)` — the
     /// keys with net count `+1` and `−1` respectively; `None` if peeling
     /// stalls (table too small or corrupt).
+    ///
+    /// A consistent table holds each key once and at most one key per
+    /// cell, so peeling stops with `None` at the first key seen twice or
+    /// past `cell_count()` peels: a corrupt or false-peeled table can
+    /// otherwise cycle forever.
     pub fn peel(mut self, h: &IbltHasher) -> Option<(Vec<u64>, Vec<u64>)> {
         let mut positives = Vec::new();
         let mut negatives = Vec::new();
+        let mut peeled = std::collections::HashSet::new();
         let mut queue: Vec<usize> = (0..self.cells.len()).collect();
         while let Some(slot) = queue.pop() {
             let cell = self.cells[slot];
@@ -155,6 +161,9 @@ impl Iblt {
             let key = cell.key_sum;
             if h.checksum(key) != cell.check_sum {
                 continue; // not pure (multiple keys collided here)
+            }
+            if peeled.len() == self.cells.len() || !peeled.insert(key) {
+                return None;
             }
             let sign = cell.count;
             if sign > 0 {
@@ -204,28 +213,32 @@ impl Iblt {
         }
     }
 
-    /// Deserializes a table written by [`write`](Self::write).
+    /// Deserializes a table written by [`write`](Self::write), refusing
+    /// one with more than `max_per_table` cells per subtable before
+    /// allocating it.
     ///
     /// # Errors
     ///
-    /// Returns a codec error on malformed input.
+    /// Returns a codec error on malformed input or an over-sized table.
     pub fn read(
         r: &mut intersect_comm::bits::BitReader<'_>,
         key_bits: usize,
         check_bits: usize,
+        max_per_table: usize,
     ) -> Result<Self, ProtocolError> {
-        let per_table = get_gamma0(r)? as usize;
-        if per_table > (1 << 24) {
-            return Err(ProtocolError::Internal(
-                "iblt table size on the wire is implausibly large".into(),
-            ));
+        let per_table = get_gamma0(r)?;
+        if per_table > max_per_table as u64 {
+            return Err(ProtocolError::Codec(CodecError::ValueOutOfRange {
+                value: per_table,
+                bound: max_per_table as u64 + 1,
+            }));
         }
-        let mut table = Iblt::new(per_table);
+        let mut table = Iblt::new(per_table as usize);
         let occupied = get_gamma0(r)?;
         let mut idx = 0u64;
         for j in 0..occupied {
             let gap = get_gamma0(r)?;
-            idx = if j == 0 { gap } else { idx + gap };
+            idx = if j == 0 { gap } else { idx.saturating_add(gap) };
             let zig = get_gamma0(r)?;
             let count = if zig & 1 == 0 {
                 (zig >> 1) as i64
@@ -357,8 +370,9 @@ impl SetIntersection for IbltReconcile {
                     }
                 }
                 Side::Bob => {
+                    // An honest Alice sends exactly this attempt's size.
                     let msg = chan.recv()?;
-                    let theirs = Iblt::read(&mut msg.reader(), key_bits, check_bits)?;
+                    let theirs = Iblt::read(&mut msg.reader(), key_bits, check_bits, per_table)?;
                     let mut mine = Iblt::new(theirs.per_table);
                     for y in input.iter() {
                         mine.insert(&hasher, y);
@@ -455,7 +469,7 @@ mod tests {
         }
         let mut buf = BitBuf::new();
         a.write(&mut buf, 40, 32);
-        let back = Iblt::read(&mut buf.reader(), 40, 32).unwrap();
+        let back = Iblt::read(&mut buf.reader(), 40, 32, 16).unwrap();
         // Checksums are truncated to 32 bits on the wire; compare by
         // peeling behaviour on the truncated domain instead of raw cells.
         assert_eq!(back.per_table, a.per_table);
@@ -520,6 +534,56 @@ mod tests {
         );
         // Constant in k: far below one bit per element… times a few.
         assert!(run.report.total_bits() < 4 * 1024);
+    }
+
+    /// Dense universe (n/k = 64), half overlap: peeling used to cycle on
+    /// a false peel here and grow its queue until the allocator aborted
+    /// the process.
+    #[test]
+    fn tuple_n2p16_k1024_seed17024_overlap512_session3_ends_cleanly() {
+        let spec = ProblemSpec::new(1 << 16, 1024);
+        let mut rng = ChaCha8Rng::seed_from_u64(17024);
+        let pair = InputPair::random_with_overlap(&mut rng, spec, 1024, 512);
+        if let Ok(run) = execute(&IbltReconcile::default(), spec, &pair, 3) {
+            assert!(run.matches(&pair.ground_truth()));
+        }
+    }
+
+    /// A table size no honest Alice sends is refused before Bob builds
+    /// anything, with a typed codec error.
+    #[test]
+    fn oversized_table_on_the_wire_is_refused() {
+        let mut forged = BitBuf::new();
+        put_gamma0(&mut forged, 1 << 40); // per_table
+        put_gamma0(&mut forged, 0); // no occupied cells
+        assert_eq!(
+            Iblt::read(&mut forged.reader(), 16, 32, 8),
+            Err(ProtocolError::Codec(CodecError::ValueOutOfRange {
+                value: 1 << 40,
+                bound: 9
+            }))
+        );
+
+        let spec = ProblemSpec::new(1 << 16, 16);
+        let t: ElementSet = (0..16u64).collect();
+        let out = intersect_comm::runner::run_two_party(
+            &intersect_comm::runner::RunConfig::with_seed(1),
+            |chan, _| chan.send(forged.clone()),
+            |chan, coins| {
+                Ok(IbltReconcile::default()
+                    .run(chan, coins, Side::Bob, spec, &t)
+                    .unwrap_err())
+            },
+        )
+        .unwrap();
+        assert!(
+            matches!(
+                out.bob,
+                ProtocolError::Codec(CodecError::ValueOutOfRange { .. })
+            ),
+            "{:?}",
+            out.bob
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! k ∈ {16, 64}, a session served by `Engine::submit_multiparty` is
 //! bit-for-bit identical to the same request served by the harness-only
 //! `execute` calls — same inputs, same coins, same per-player
-//! communication accounting. Wired into `scripts/check.sh`.
+//! communication accounting. Runs in the tier-1 `cargo test`.
 
 use intersect_core::sets::ProblemSpec;
 use intersect_engine::prelude::*;

@@ -6,10 +6,13 @@
 //! test simultaneously proves (a) instrumentation does not perturb any
 //! session — the dedicated reference runs execute *after* the subscriber
 //! is gone and must match bit-for-bit — and (b) every session's two
-//! `session` spans account for its CostReport exactly.
+//! `session` spans account for its CostReport exactly. Before that, the
+//! whole catalogue is served once without and once with a subscriber,
+//! and must settle identically.
 
+use intersect_comm::stats::CostReport;
 use intersect_core::api::{execute, ProtocolChoice};
-use intersect_core::sets::ProblemSpec;
+use intersect_core::sets::{ElementSet, ProblemSpec};
 use intersect_engine::prelude::*;
 use intersect_obs as obs;
 use std::collections::BTreeMap;
@@ -49,11 +52,43 @@ fn mixed_workload(count: u64) -> Vec<SessionRequest> {
         .collect()
 }
 
+/// Every catalogue protocol at two cardinalities through one engine;
+/// returns each session's id, cost report and outputs, sorted by id.
+fn serve_catalogue() -> Vec<(u64, CostReport, Option<ElementSet>, Option<ElementSet>)> {
+    let engine = Engine::start(EngineConfig::new(2));
+    let mut id = 0u64;
+    for choice in ProtocolChoice::all(3) {
+        for k in [16u64, 64] {
+            id += 1;
+            let mut req = SessionRequest::new(id, ProblemSpec::new(1 << 20, k), (k / 3) as usize);
+            req.seed = id.wrapping_mul(0xE24) + 7;
+            req.protocol = Some(choice);
+            engine.submit(req).unwrap();
+        }
+    }
+    let mut sessions: Vec<_> = engine
+        .finish()
+        .outcomes
+        .into_iter()
+        .map(|o| {
+            assert!(o.succeeded(), "{}: {:?}", o.protocol_name, o.error);
+            (o.request.id, o.report, o.alice, o.bob)
+        })
+        .collect();
+    sessions.sort_by_key(|s| s.0);
+    sessions
+}
+
 #[test]
 fn ten_thousand_sessions_are_exact_and_bit_identical_to_dedicated_runs() {
     const SESSIONS: u64 = 10_000;
+    let untraced = serve_catalogue();
     let sub = obs::Subscriber::new();
     let installed = sub.install();
+    // Trace minting, scopes, timelines and the flight recorder change no
+    // bit of any catalogue protocol.
+    assert_eq!(serve_catalogue(), untraced, "tracing changed a session");
+    drop(sub.take_events());
     let engine = Engine::start(EngineConfig::new(8));
     for req in mixed_workload(SESSIONS) {
         engine.submit(req).unwrap();

@@ -63,28 +63,25 @@ fn reference(
 fn remote_run_is_bit_identical_to_in_process() {
     let mut server = start_tcp_server();
     let client = NetClient::connect(&server.local_addr().to_string()).unwrap();
-    for (id, choice) in [
-        (1, ProtocolChoice::Trivial),
-        (2, ProtocolChoice::TreeLogStar),
-        (3, ProtocolChoice::Sqrt),
-        (4, ProtocolChoice::OneRound),
-    ]
-    .into_iter()
-    {
-        let req = request(id, 32, Some(choice));
+    let cells: Vec<(ProtocolChoice, u64)> = ProtocolChoice::all(3)
+        .into_iter()
+        .flat_map(|choice| [16, 32, 64].map(|k| (choice, k)))
+        .collect();
+    for (id, &(choice, k)) in (1..).zip(&cells) {
+        let req = request(id, k, Some(choice));
         let (remote, events) = client.run_traced(&req).expect("remote session");
         let (ref_alice, ref_bob, ref_report, ref_events) = reference(&req, choice);
         let truth = req.input_pair().ground_truth();
         assert_eq!(remote.protocol, choice);
-        assert_eq!(remote.alice, ref_alice, "{choice}: alice output");
-        assert_eq!(remote.bob, ref_bob, "{choice}: bob output");
-        assert!(remote.matches(&truth), "{choice}: ground truth");
-        assert_eq!(remote.report, ref_report, "{choice}: cost report");
-        assert_eq!(events, ref_events, "{choice}: transcript");
+        assert_eq!(remote.alice, ref_alice, "{choice} k={k}: alice output");
+        assert_eq!(remote.bob, ref_bob, "{choice} k={k}: bob output");
+        assert!(remote.matches(&truth), "{choice} k={k}: ground truth");
+        assert_eq!(remote.report, ref_report, "{choice} k={k}: cost report");
+        assert_eq!(events, ref_events, "{choice} k={k}: transcript");
     }
     drop(client);
     let summary = server.shutdown();
-    assert_eq!(summary.sessions_served, 4);
+    assert_eq!(summary.sessions_served, cells.len() as u64);
     assert_eq!(summary.sessions_failed, 0);
 }
 

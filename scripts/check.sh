@@ -10,27 +10,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> prepared-plan bit-exactness (quick profile)"
-cargo test -q -p intersect-bench --test prepared_exactness
-
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
 echo "==> cargo build --examples"
 cargo build -q --workspace --examples
-
-echo "==> throughput bench smoke (--quick)"
-cargo run -q --release -p intersect-bench --bin throughput -- --quick --out /tmp/throughput_smoke.json
-rm -f /tmp/throughput_smoke.json
-
-echo "==> E23 pair-stream amortization smoke (--quick)"
-cargo run -q --release -p intersect-bench --bin report -- --exp E23 --quick >/dev/null
-
-echo "==> multiparty engine-vs-harness bit identity"
-cargo test -q -p intersect-engine --test multiparty_bit_identity
-
-echo "==> E25 party-topology smoke (--quick)"
-cargo run -q --release -p intersect-bench --bin report -- --exp E25 --quick >/dev/null
 
 echo "==> benchmark unit tests (BENCHMARK.json consistency, statistics, /proc parsing)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -39,9 +39,9 @@ proptest! {
     #[test]
     fn iblt_reader_never_panics_or_blows_up(bits in prop::collection::vec(any::<bool>(), 0..512)) {
         let buf = buf_from(&bits);
-        if let Ok(table) = Iblt::read(&mut buf.reader(), 40, 32) {
+        if let Ok(table) = Iblt::read(&mut buf.reader(), 40, 32, 1 << 16) {
             // Bounded allocation even on adversarial sizes.
-            prop_assert!(table.cell_count() <= 3 * (1 << 24));
+            prop_assert!(table.cell_count() <= 3 * (1 << 16));
         }
     }
 

@@ -137,3 +137,43 @@ proptest! {
         prop_assert!(run.report.rounds <= run.report.messages);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// `iblt` on dense universes (n/k ≤ 64), where false peels are
+    /// likeliest, ends in exactly `S ∩ T` or a typed `ProtocolError`.
+    #[test]
+    fn iblt_on_dense_universes_is_exact_or_a_typed_error(
+        k in 1u64..=128,
+        ratio in 2u64..=64,
+        s in prop::collection::vec(any::<u64>(), 0..=128),
+        t in prop::collection::vec(any::<u64>(), 0..=128),
+        shared in 0usize..=128,
+        seed in any::<u64>(),
+    ) {
+        let n = k * ratio;
+        // At most k distinct elements of [n]; T starts with a prefix of
+        // S's draws so overlaps range from none to nearly all.
+        let dense = |raw: &[u64]| -> ElementSet {
+            let mut set = std::collections::BTreeSet::new();
+            for x in raw {
+                if set.len() as u64 == k {
+                    break;
+                }
+                set.insert(x % n);
+            }
+            set.into_iter().collect()
+        };
+        let shared = shared.min(s.len());
+        let pair = InputPair {
+            s: dense(&s),
+            t: dense(&[&s[..shared], &t[..]].concat()),
+        };
+        let truth = pair.ground_truth();
+        if let Ok(run) = execute(&IbltReconcile::default(), ProblemSpec::new(n, k), &pair, seed) {
+            prop_assert_eq!(&run.alice, &truth);
+            prop_assert_eq!(&run.bob, &truth);
+        }
+    }
+}

@@ -388,3 +388,130 @@ fn live_trace_plane_serves_stitched_traces_and_the_flight_recorder() {
     child.kill().unwrap();
     child.wait().unwrap();
 }
+
+/// Runs `intersect-serve --batch 200 --json --quiet` plus `extra` and
+/// returns the child with stdout and stderr piped.
+fn spawn_batch(extra: &[&str]) -> std::process::Child {
+    serve()
+        .args([
+            "--batch",
+            "200",
+            "--n",
+            "2^18",
+            "--k",
+            "32",
+            "--workers",
+            "2",
+            "--quiet",
+            "--json",
+        ])
+        .args(extra)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap()
+}
+
+/// Scraping every telemetry endpoint while the batch runs changes no
+/// communication bit, and every honest session passes its theory
+/// envelope at the default slack.
+#[test]
+fn scraping_under_load_changes_no_bits_and_every_session_conforms() {
+    use std::io::{BufRead, BufReader, Read};
+
+    let quiet = spawn_batch(&[]).wait_with_output().unwrap();
+    assert!(quiet.status.success());
+    let quiet: intersect::engine::EngineSnapshot =
+        serde_json::from_str(&String::from_utf8_lossy(&quiet.stdout)).unwrap();
+
+    let mut child = spawn_batch(&["--listen", "127.0.0.1:0", "--linger-ms", "300"]);
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    let addr: std::net::SocketAddr = loop {
+        line.clear();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "no address");
+        if let Some(rest) = line.strip_prefix("telemetry: listening on ") {
+            break rest.trim().parse().unwrap();
+        }
+    };
+    // Until the server goes away after the linger.
+    let paths = ["/metrics", "/healthz", "/sessions", "/profile?weight=bits"];
+    let scrapes = (0..)
+        .map_while(|i| intersect::obs::serve::http_get(addr, paths[i % paths.len()]).ok())
+        .count();
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{rest}");
+    assert!(scrapes > 0, "the scraper never reached the server");
+
+    let scraped: intersect::engine::EngineSnapshot =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(scraped.metrics.completed, 200);
+    assert_eq!(scraped.metrics, quiet.metrics, "scraping changed a session");
+    assert!(
+        rest.contains("conformance: 200 session(s) checked, all within envelope"),
+        "{rest}"
+    );
+}
+
+/// Over loopback TCP, both halves of a remote session emit their spans
+/// under the trace id minted from `(id, seed)`, and the client's
+/// waterfall tiles the latency it observed.
+#[test]
+fn remote_halves_share_one_trace_id_and_the_waterfall_tiles_latency() {
+    use intersect::net::prelude::*;
+    use intersect::obs;
+
+    let sub = obs::Subscriber::new();
+    let _installed = sub.install();
+    let mut server = NetServer::start(NetServerConfig::new(
+        EndpointAddr::parse("tcp:127.0.0.1:0").unwrap(),
+    ))
+    .unwrap();
+    let client = NetClient::connect(&server.local_addr().to_string()).unwrap();
+    for (id, k) in [(1000u64, 16u64), (1001, 64)] {
+        let mut req = intersect::engine::SessionRequest::new(
+            id,
+            intersect::core::sets::ProblemSpec::new(1 << 20, k),
+            (k / 3) as usize,
+        );
+        req.seed = id.wrapping_mul(0xE24) + 7;
+        let expected = obs::TraceContext::mint(req.id, req.seed);
+        let t0 = std::time::Instant::now();
+        let (run, timeline) = client.run_timed(&req).unwrap();
+        let wall = t0.elapsed().as_micros() as u64;
+        assert!(run.matches(&req.input_pair().ground_truth()), "k={k}");
+
+        let events: Vec<obs::Event> = sub
+            .events()
+            .into_iter()
+            .filter(|e| e.session == Some(id))
+            .collect();
+        let spans = events
+            .iter()
+            .filter(|e| matches!(e.kind, obs::EventKind::Span { .. }) && e.name == "session")
+            .count();
+        assert!(spans >= 2, "k={k}: {spans} session spans");
+        assert!(
+            events
+                .iter()
+                .all(|e| e.trace.is_none() || e.trace == Some(expected))
+                && events.iter().any(|e| e.trace == Some(expected)),
+            "k={k}: spans do not share trace {}",
+            expected.trace_hex()
+        );
+
+        let segments = timeline.segments();
+        assert_eq!(
+            segments.iter().map(|(_, us)| us).sum::<u64>(),
+            timeline.total_micros()
+        );
+        assert!(
+            timeline.total_micros() <= wall + segments.len() as u64,
+            "k={k}: waterfall {timeline:?} exceeds the {wall} µs observed"
+        );
+    }
+    drop(client);
+    assert_eq!(server.shutdown().sessions_failed, 0);
+}
