@@ -88,8 +88,9 @@ fn main() {
             for table in tables {
                 println!("{}", table.to_markdown());
             }
-            println!(
-                "_({} completed in {seconds:.1}s{})_\n",
+            // Timing goes to stderr so stdout is the same on every run.
+            eprintln!(
+                "({} completed in {seconds:.1}s{})",
                 exp.id,
                 if quick { ", quick mode" } else { "" }
             );

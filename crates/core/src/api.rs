@@ -323,16 +323,24 @@ pub enum ProtocolChoice {
 }
 
 impl ProtocolChoice {
+    /// Error exponent of the catalogue's [`ProtocolChoice::Basic`].
+    pub(crate) const BASIC_ERROR_BITS: usize = 20;
+
+    /// Error exponent of the catalogue's [`ProtocolChoice::OneRound`]:
+    /// error `1/k²`, range `k⁴`, so the cost stays `Θ(k·log k)` and never
+    /// degenerates to the full-universe identity map.
+    pub(crate) fn one_round_error_bits(spec: ProblemSpec) -> usize {
+        2 * crate::iterlog::ceil_log2(spec.k.max(2)) as usize
+    }
+
     /// Instantiates the protocol for a given spec.
     pub fn build(self, spec: ProblemSpec) -> Box<dyn SetIntersection> {
         match self {
             ProtocolChoice::Trivial => Box::new(TrivialExchange::default()),
-            // Error 1/k²: range k⁴, so the cost stays Θ(k·log k) and never
-            // degenerates to the full-universe identity map.
-            ProtocolChoice::OneRound => Box::new(OneRoundHash::new(
-                2 * crate::iterlog::ceil_log2(spec.k.max(2)) as usize,
-            )),
-            ProtocolChoice::Basic => Box::new(BasicIntersection::new(20)),
+            ProtocolChoice::OneRound => {
+                Box::new(OneRoundHash::new(Self::one_round_error_bits(spec)))
+            }
+            ProtocolChoice::Basic => Box::new(BasicIntersection::new(Self::BASIC_ERROR_BITS)),
             ProtocolChoice::Tree(r) => Box::new(TreeProtocol::new(r)),
             ProtocolChoice::TreeLogStar => Box::new(TreeProtocol::log_star(spec.k)),
             ProtocolChoice::TreePipelined(r) => Box::new(PipelinedTree::new(r)),

@@ -16,6 +16,7 @@
 //! the two outputs are *equal*, they both equal `S ∩ T`, so one equality
 //! test certifies a correct intersection.
 
+use crate::cost::{gamma_bits, rice_bits, PredictedCost};
 use crate::prepared::PreparedProtocol;
 use crate::sets::{ElementSet, ProblemSpec};
 use intersect_comm::bits::BitBuf;
@@ -75,6 +76,23 @@ impl BasicIntersection {
         let pairs = m.saturating_mul(m);
         let t = pairs.saturating_mul(1u64 << (self.error_bits.min(60) - 1));
         t.clamp(16, cap)
+    }
+
+    /// Expected bits of one instance on sides of `x` and `y` elements:
+    /// both `γ₀` sizes, then both hashed sets as Rice codes over
+    /// [`hash_range(x + y)`](Self::hash_range).
+    pub(crate) fn instance_bits(&self, x: u64, y: u64) -> f64 {
+        let t = self.hash_range(x + y);
+        gamma_bits(x + 1) + gamma_bits(y + 1) + rice_bits(t, x, x) + rice_bits(t, y, y)
+    }
+
+    /// Expected cost of one instance on two `k`-element sets: two
+    /// simultaneous exchanges.
+    pub(crate) fn predicted_cost(&self, spec: ProblemSpec) -> PredictedCost {
+        PredictedCost {
+            bits: self.instance_bits(spec.k, spec.k),
+            rounds: 2.0,
+        }
     }
 
     /// Derives the input-independent parameters for `spec`: the hash

@@ -36,6 +36,7 @@ use intersect_comm::coins::CoinSource;
 use intersect_comm::error::ProtocolError;
 use intersect_comm::runner::Side;
 
+use crate::cost::PredictedCost;
 use crate::equality::fingerprint;
 
 /// The amortized `EQ^n_k` protocol.
@@ -70,6 +71,9 @@ pub struct AmortizedEquality {
 /// Per-instance elimination bits per pass.
 const ELIM_BITS: usize = 2;
 
+/// The Euler–Mascheroni constant.
+const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+
 impl AmortizedEquality {
     /// Uses block size `⌈√k⌉` (the theorem's parameterization).
     pub fn new() -> Self {
@@ -87,6 +91,41 @@ impl AmortizedEquality {
         self.block_size
             .unwrap_or_else(|| (k as f64).sqrt().ceil() as usize)
             .max(1)
+    }
+
+    /// Expected cost of `instances` tests of which `equal` are equal,
+    /// spread evenly over the blocks.
+    ///
+    /// A pass costs 3 bits per alive instance (2 fingerprint bits, 1 mask
+    /// bit), and an unequal instance survives it with probability 1/4:
+    /// it lives `4/3` passes, 4 bits. A block runs until its `u` unequal
+    /// instances are dead — the maximum of `u` geometric lifetimes,
+    /// `log₄ u + γ/ln 4 + 1/2` passes — and its equal instances pay for
+    /// every one of them plus the clean pass that triggers the
+    /// confirmation. Passes in which every survivor happens to survive
+    /// trigger a confirmation that fails: `log₄(4/3)` of them per block
+    /// (the Frullani integral of the survival law).
+    pub(crate) fn predicted_cost(&self, instances: f64, equal: f64) -> PredictedCost {
+        let block = self.block_of(instances.round() as usize) as f64;
+        let confirm = block.max(16.0) + 1.0;
+        let blocks = (instances / block).ceil().max(1.0);
+        let unequal = (instances - equal).max(0.0);
+        let u = unequal / blocks;
+        let (passes, spurious) = if u >= 1.0 {
+            (
+                u.log(4.0) + EULER_GAMMA / 4f64.ln() + 0.5,
+                (4.0f64 / 3.0).log(4.0),
+            )
+        } else {
+            (u * 4.0 / 3.0, u / 3.0)
+        };
+        let confirmed = 1.0 - (-equal / blocks).exp();
+        PredictedCost {
+            bits: 4.0 * unequal
+                + 3.0 * equal * (passes + 1.0)
+                + blocks * confirm * (confirmed + spurious),
+            rounds: 2.0 * blocks * (passes + 2.0 * confirmed + spurious),
+        }
     }
 
     /// Runs the `k = items.len()` equality instances; both parties return

@@ -12,6 +12,7 @@
 //! which locates the crossover against the deterministic
 //! `O(k log(n/k))` exchange as `n/k` varies.
 
+use crate::cost::{rice_bits, PredictedCost};
 use crate::iterlog::ceil_log2;
 use crate::prepared::{PreparedProtocol, SessionCtx};
 use crate::sets::{ElementSet, ProblemSpec};
@@ -74,6 +75,23 @@ impl OneRoundHash {
         k2.saturating_mul(1 << shift)
             .clamp(16, 1 << 61)
             .min(spec.n.max(16))
+    }
+
+    /// Expected cost on two `k`-element sets sharing `overlap`: Alice's
+    /// fingerprints, then Bob's echo of the candidates, each a Rice code
+    /// over [`hash_range`](Self::hash_range) (false candidates, at most
+    /// `2^{-e}` of a set, are not priced).
+    pub(crate) fn predicted_cost(&self, spec: ProblemSpec, overlap: u64) -> PredictedCost {
+        let range = self.hash_range(spec);
+        let echo = if self.echo {
+            rice_bits(range, spec.k, overlap)
+        } else {
+            0.0
+        };
+        PredictedCost {
+            bits: rice_bits(range, spec.k, spec.k) + echo,
+            rounds: 1.0 + self.echo as u8 as f64,
+        }
     }
 
     /// Derives the input-independent parameters for `spec`: the

@@ -21,6 +21,7 @@
 //! parties first exchange their bucket-size vectors (`O(k)` bits, one
 //! simultaneous exchange — absorbed in the `O(k)` total).
 
+use crate::cost::{bucket_size_bits, PredictedCost};
 use crate::fknn::AmortizedEquality;
 use crate::prepared::PreparedProtocol;
 use crate::sets::{ElementSet, ProblemSpec};
@@ -82,6 +83,22 @@ impl SqrtProtocol {
             n = n.saturating_mul(k.max(2));
         }
         n.clamp(1 << 28, 1 << 61)
+    }
+
+    /// Expected cost on two `k`-element sets sharing `overlap`: both
+    /// bucket-size vectors in one exchange, then the amortized equality
+    /// run over the pairs that share a bucket — each shared element
+    /// meets its twin, and any other of the `k²` cross pairs collides
+    /// with probability `1/k` (equation (1)).
+    pub(crate) fn predicted_cost(&self, spec: ProblemSpec, overlap: u64) -> PredictedCost {
+        let buckets = spec.k.max(2);
+        let (items, shared) = (spec.k as f64, overlap as f64);
+        let pairs = shared + (items * items - shared) / buckets as f64;
+        let equality = self.equality.predicted_cost(pairs, shared);
+        PredictedCost {
+            bits: 2.0 * buckets as f64 * bucket_size_bits(spec.k, buckets) + equality.bits,
+            rounds: 1.0 + equality.rounds,
+        }
     }
 
     /// Derives the input-independent parameters for `spec`: the reduced

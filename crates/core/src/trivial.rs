@@ -10,6 +10,7 @@
 //! `log(n/k)`: no protocol that reveals a whole *arbitrary* set can do
 //! better, but recovering only the *intersection* can (Theorems 1.1, 3.1).
 
+use crate::cost::{rice_bits, PredictedCost};
 use crate::sets::{ElementSet, ProblemSpec};
 use intersect_comm::bits::BitBuf;
 use intersect_comm::chan::Chan;
@@ -103,6 +104,22 @@ impl TrivialExchange {
             }
         };
         Ok(ElementSet::from_sorted(elems))
+    }
+
+    /// Expected cost on two `k`-element sets sharing `overlap`: Alice's
+    /// set, then Bob's echo of the intersection, each a Rice code over
+    /// `[n]`. Prices the default [`SubsetCode::Rice`] only.
+    pub(crate) fn predicted_cost(&self, spec: ProblemSpec, overlap: u64) -> PredictedCost {
+        debug_assert_eq!(self.code, SubsetCode::Rice, "only the Rice code is priced");
+        let echo = if self.echo {
+            rice_bits(spec.n, spec.k, overlap)
+        } else {
+            0.0
+        };
+        PredictedCost {
+            bits: rice_bits(spec.n, spec.k, spec.k) + echo,
+            rounds: 1.0 + self.echo as u8 as f64,
+        }
     }
 
     /// Runs the protocol. Deterministic: `coins` are unused.

@@ -15,7 +15,8 @@
 //!   cardinality bound, set size, overlap, seed) from which the exact
 //!   inputs are regenerated deterministically;
 //! - [`route`] / [`RoutePolicy`] — picks a protocol per session from the
-//!   catalogue using the calibrated cost model in `intersect_core::cost`,
+//!   catalogue using the cost model each protocol derives in
+//!   `intersect_core`,
 //!   with engine-wide and per-request overrides;
 //! - [`Engine`] — the scheduler: a bounded admission queue (full ⇒
 //!   [`SubmitError::Rejected`]), a dispatcher that caps sessions in
@@ -66,8 +67,7 @@ pub use registry::{
     EngineMetrics, EngineSnapshot, EngineWatch, LatencySummary, ProtocolTally, SessionSummary,
 };
 pub use request::SessionRequest;
-pub use router::calibration::{self, CalibrationConfig, CalibrationSnapshot, Calibrator};
-pub use router::{route, route_calibrated, theory_envelope, RoutePolicy};
+pub use router::{route, theory_envelope, RoutePolicy};
 pub use scheduler::{Engine, EngineConfig, EngineReport, SessionOutcome, StreamId, SubmitError};
 pub use timeline::SessionTimeline;
 
@@ -78,8 +78,7 @@ pub mod prelude {
     pub use crate::plan_cache::{PlanCache, PlanCacheStats};
     pub use crate::registry::{EngineMetrics, EngineSnapshot, EngineWatch, LatencySummary};
     pub use crate::request::SessionRequest;
-    pub use crate::router::calibration::{CalibrationConfig, CalibrationSnapshot, Calibrator};
-    pub use crate::router::{route, route_calibrated, theory_envelope, RoutePolicy};
+    pub use crate::router::{route, theory_envelope, RoutePolicy};
     pub use crate::scheduler::{
         Engine, EngineConfig, EngineReport, SessionOutcome, StreamId, SubmitError,
     };

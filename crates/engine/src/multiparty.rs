@@ -152,9 +152,9 @@ impl MultipartyRequest {
     }
 
     /// The session's per-player conformance envelope in bits, derived
-    /// from the prepared tournament plan and the calibrated
+    /// from the prepared tournament plan and the predicted
     /// [`PredictedCost`](intersect_core::cost::PredictedCost) of one
-    /// certified pairwise run.
+    /// certified pairwise run (at empty overlap, the tree's costliest).
     pub fn envelope_bits(&self, plan: &PreparedTournament) -> f64 {
         let pairwise = ProtocolChoice::Tree(self.tree_rounds)
             .predicted_cost(self.spec, None)

@@ -43,8 +43,7 @@ use crate::pair_context::PairContextCache;
 use crate::plan_cache::PlanCache;
 use crate::registry::{EngineSnapshot, EngineWatch, Registry};
 use crate::request::SessionRequest;
-use crate::router::calibration::{describe_calibration_metrics, CalibrationConfig, Calibrator};
-use crate::router::{route_calibrated, theory_envelope, RoutePolicy};
+use crate::router::{route, theory_envelope, RoutePolicy};
 use crate::timeline::{SessionTimeline, TimelineStamps};
 use crossbeam_channel::{bounded, unbounded, Hot, Receiver, Sender, TrySendError};
 use intersect_comm::chan::{Chan, Endpoint};
@@ -116,18 +115,11 @@ pub struct EngineConfig {
     /// breakdown (from Alice's perspective) into its outcome.
     pub debug_session: Option<u64>,
     /// If set, every successful session's [`CostReport`] is checked
-    /// against its calibrated theory envelope (see
+    /// against its theory envelope (see
     /// [`theory_envelope`]); violations are tallied on the engine's
     /// [`ConformanceMonitor`] and surface through metrics, events, and
     /// the shared [`Health`](obs::Health) flag.
     pub conformance: Option<ConformanceConfig>,
-    /// If set, every successful session's cost residual
-    /// (observed/predicted bits and rounds) is folded into the engine's
-    /// [`Calibrator`], and the auto-router ranks candidates by
-    /// *corrected* predicted costs — so persistent drift can change
-    /// which protocol a regime routes to. Conformance envelopes stay
-    /// pinned to the uncorrected theory prediction.
-    pub calibration: Option<CalibrationConfig>,
     /// Capacity of the recently-finished-session ring retained for the
     /// `/sessions` endpoint (clamped to at least 1). Larger rings give
     /// live dashboards more history at a small memory cost.
@@ -145,7 +137,6 @@ impl EngineConfig {
             policy: RoutePolicy::default(),
             debug_session: None,
             conformance: None,
-            calibration: None,
             ring: 64,
         }
     }
@@ -361,7 +352,6 @@ struct WorkerCtx {
     outcome_tx: Sender<SessionOutcome>,
     mp_outcome_tx: Sender<MultipartySessionOutcome>,
     conformance: Option<(ConformanceConfig, Arc<ConformanceMonitor>)>,
-    calibration: Option<Arc<Calibrator>>,
     debug_session: Option<u64>,
 }
 
@@ -435,8 +425,8 @@ fn settle(
 }
 
 /// Settles one two-party session: records its outcome everywhere one is
-/// accounted (registry, lifecycle events, metrics, conformance,
-/// calibration) and streams it out.
+/// accounted (registry, lifecycle events, metrics, conformance) and
+/// streams it out.
 fn emit_outcome(ctx: &WorkerCtx, outcome: SessionOutcome) {
     let report = outcome.report;
     let latency_micros = outcome.latency_micros;
@@ -457,7 +447,7 @@ fn emit_outcome(ctx: &WorkerCtx, outcome: SessionOutcome) {
     );
     if outcome.succeeded() {
         // The report hook: every successful session is checked against
-        // its calibrated theory envelope the moment it settles.
+        // its theory envelope the moment it settles.
         if let Some((config, monitor)) = &ctx.conformance {
             let envelope = theory_envelope(
                 outcome.protocol,
@@ -467,21 +457,6 @@ fn emit_outcome(ctx: &WorkerCtx, outcome: SessionOutcome) {
                 *config,
             );
             monitor.check(&envelope, report.total_bits(), report.rounds);
-        }
-        // The feedback hook: the same observed costs, folded as a
-        // residual against the *uncorrected* prediction so the router
-        // learns where the cost model's constants are off.
-        if let Some(calibrator) = &ctx.calibration {
-            let predicted = outcome
-                .protocol
-                .predicted_cost(outcome.request.spec, Some(outcome.request.overlap as u64));
-            calibrator.fold(
-                outcome.protocol,
-                outcome.request.spec.k,
-                predicted,
-                report.total_bits(),
-                report.rounds,
-            );
         }
     }
     obs::counter_add("engine_bits_total", report.total_bits());
@@ -776,7 +751,6 @@ pub struct Engine {
     dispatcher: JoinHandle<()>,
     worker_handles: Vec<JoinHandle<()>>,
     monitor: Option<Arc<ConformanceMonitor>>,
-    calibrator: Option<Arc<Calibrator>>,
 }
 
 /// Registers `# HELP` texts for every metric the engine emits, so the
@@ -897,7 +871,6 @@ fn describe_engine_metrics() {
     ] {
         obs::describe(name, help);
     }
-    describe_calibration_metrics();
 }
 
 impl Engine {
@@ -917,15 +890,6 @@ impl Engine {
         let monitor = config
             .conformance
             .map(|cfg| (cfg, Arc::new(ConformanceMonitor::new())));
-        // The calibrator shares the conformance monitor's health flag
-        // when both are armed, so `/healthz` reports drift and
-        // violations through one signal.
-        let calibrator = config.calibration.map(|cfg| {
-            Arc::new(match &monitor {
-                Some((_, m)) => Calibrator::with_health(cfg, m.health()),
-                None => Calibrator::new(cfg),
-            })
-        });
 
         let (inbox_txs, inbox_rxs): (Vec<Sender<WorkItem>>, Vec<Receiver<WorkItem>>) =
             (0..workers).map(|_| unbounded::<WorkItem>()).unzip();
@@ -939,7 +903,6 @@ impl Engine {
                     outcome_tx: outcome_tx.clone(),
                     mp_outcome_tx: mp_outcome_tx.clone(),
                     conformance: monitor.as_ref().map(|(cfg, m)| (*cfg, Arc::clone(m))),
-                    calibration: calibrator.clone(),
                     debug_session: config.debug_session,
                 };
                 std::thread::spawn(move || {
@@ -976,7 +939,6 @@ impl Engine {
             let policy = config.policy;
             let cache = Arc::clone(&cache);
             let pair_contexts = Arc::clone(&pair_contexts);
-            let calibrator = calibrator.clone();
             std::thread::spawn(move || {
                 let mut pool = PoolLoad {
                     load: vec![0; inbox_txs.len()],
@@ -1021,7 +983,7 @@ impl Engine {
                             // Admission guarantees a uniform spec and
                             // override, so the first request routes for all.
                             let first = &requests.first;
-                            let choice = route_calibrated(first, policy, calibrator.as_deref());
+                            let choice = route(first, policy);
                             for request in requests.iter() {
                                 lifecycle("route", request.id, request.trace);
                             }
@@ -1088,7 +1050,6 @@ impl Engine {
             dispatcher,
             worker_handles,
             monitor: monitor.map(|(_, m)| m),
-            calibrator,
         }
     }
 
@@ -1107,16 +1068,6 @@ impl Engine {
     /// monitor's [`Health`](obs::Health) handle.
     pub fn conformance_monitor(&self) -> Option<Arc<ConformanceMonitor>> {
         self.monitor.clone()
-    }
-
-    /// The engine's router calibrator, present iff
-    /// [`EngineConfig::calibration`] was set. The telemetry plane's
-    /// `/calibration` endpoint serves its
-    /// [`snapshot`](Calibrator::snapshot), and embedders can
-    /// [`inject`](Calibrator::inject) deliberate miscalibrations to
-    /// exercise the feedback loop.
-    pub fn calibrator(&self) -> Option<Arc<Calibrator>> {
-        self.calibrator.clone()
     }
 
     /// Validates, mints and enqueues one block of two-party sessions: the
@@ -1339,7 +1290,6 @@ impl Engine {
             dispatcher,
             worker_handles,
             monitor,
-            calibrator: _,
         } = self;
         drop(admit_tx);
         dispatcher.join().expect("dispatcher panicked");
@@ -1746,7 +1696,6 @@ mod tests {
                 outcome_tx,
                 mp_outcome_tx: unbounded().0,
                 conformance: None,
-                calibration: None,
                 debug_session: None,
             };
             let mut worker = PairWorker {

@@ -1,6 +1,6 @@
 //! Table-driven theory-conformance coverage: every catalogue protocol,
 //! across several set sizes and overlaps, must stay inside its
-//! calibrated envelope at the default slack — and a deliberately
+//! predicted envelope at the default slack — and a deliberately
 //! inflated report must trip the monitor.
 
 use intersect_core::api::ProtocolChoice;
@@ -11,8 +11,8 @@ use intersect_obs::conformance::{ConformanceConfig, ConformanceMonitor};
 
 /// One engine per protocol, fed sessions at several `k` and overlap
 /// shapes. Default slack must yield a 100 % envelope pass rate: the
-/// cost model is calibrated to within 2× on bits and 3.5× on rounds,
-/// and the envelope grants 3×/4× plus an additive floor.
+/// cost model predicts mean bits and rounds from each protocol's own
+/// parameters, and the envelope grants 3×/4× plus an additive floor.
 #[test]
 fn every_catalogue_protocol_conforms_at_default_slack() {
     for choice in ProtocolChoice::all(3) {
@@ -45,7 +45,7 @@ fn every_catalogue_protocol_conforms_at_default_slack() {
     }
 }
 
-/// The negative control: the same calibrated envelopes reject a report
+/// The negative control: the same predicted envelopes reject a report
 /// whose costs are inflated far beyond anything a correct run produces.
 #[test]
 fn inflated_reports_are_flagged_as_violations() {

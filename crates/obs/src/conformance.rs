@@ -2,11 +2,11 @@
 //!
 //! The paper's results are *envelopes* — `O(k)` bits in `O(log* k)`
 //! rounds, `O(k·log^{(r)} k)` bits within `O(r)` rounds — and the
-//! repository's calibrated cost model turns each of them into concrete
+//! repository's cost model turns each of them into concrete
 //! per-session limits. This module checks live traffic against those
 //! limits continuously instead of only in batch experiments:
 //!
-//! - an [`Envelope`] is the calibrated limit for one session (computed
+//! - an [`Envelope`] is the predicted limit for one session (computed
 //!   upstream, where the cost model lives — this crate stays
 //!   dependency-free and checks numbers it is handed);
 //! - a [`ConformanceMonitor`] folds every completed session's observed
@@ -31,12 +31,12 @@ use std::sync::{Arc, Mutex};
 /// reporting; the *counts* keep growing past this cap.
 const KEPT_VIOLATIONS: usize = 256;
 
-/// Slack factors applied on top of the calibrated cost model when
-/// deriving an [`Envelope`]. The model is calibrated to land within a
-/// factor of two of measured bits (and ~3.5× on rounds), so the defaults
-/// leave honest headroom: a violation at default slack means the
-/// implementation drifted from the theory, not that the model was
-/// coarse.
+/// Slack factors applied on top of the cost model when deriving an
+/// [`Envelope`]. The model derives each protocol's expected cost from
+/// its parameters and lands within 15 % of measured bits on average
+/// inputs; the defaults leave room for a single session's luck, so a
+/// violation at default slack means the implementation drifted from the
+/// theory, not that the model was coarse.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConformanceConfig {
     /// Multiplier on predicted bits.
@@ -65,7 +65,7 @@ impl ConformanceConfig {
     }
 }
 
-/// The calibrated theoretical limit for one session: the cost model's
+/// The theoretical limit for one session: the cost model's
 /// prediction times the configured slack (plus a small additive floor,
 /// applied by the producer).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,18 +130,17 @@ impl ConformanceReport {
 }
 
 /// Shared liveness/health state: `ok` until the first conformance
-/// violation or router-calibration drift, degraded afterwards. The
-/// telemetry plane's `/healthz` endpoint serves it.
+/// violation, degraded afterwards. The telemetry plane's `/healthz`
+/// endpoint serves it.
 #[derive(Debug, Default)]
 pub struct Health {
     violations: AtomicU64,
-    drifts: AtomicU64,
 }
 
 impl Health {
-    /// `true` while neither a violation nor a drift has been recorded.
+    /// `true` while no violation has been recorded.
     pub fn ok(&self) -> bool {
-        self.violations() == 0 && self.drifts() == 0
+        self.violations() == 0
     }
 
     /// Number of violations recorded so far.
@@ -149,22 +148,9 @@ impl Health {
         self.violations.load(Ordering::Relaxed)
     }
 
-    /// Number of calibration-drift declarations recorded so far.
-    pub fn drifts(&self) -> u64 {
-        self.drifts.load(Ordering::Relaxed)
-    }
-
     /// Records `n` violations (flips [`ok`](Health::ok) to false).
     pub fn record_violations(&self, n: u64) {
         self.violations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` calibration drifts (flips [`ok`](Health::ok) to
-    /// false). Drift means a router correction factor settled
-    /// persistently far from the theory constant — the cost model and
-    /// the implementation disagree, which an operator should see.
-    pub fn record_drift(&self, n: u64) {
-        self.drifts.fetch_add(n, Ordering::Relaxed);
     }
 }
 

@@ -22,7 +22,7 @@
 //! | [`export`] | JSONL event stream, Chrome `chrome://tracing` JSON, Prometheus text exposition |
 //! | [`serve`] | embedded zero-dependency HTTP server: `/metrics`, `/healthz`, `/sessions`, `/profile` |
 //! | [`folded`] | folded flamegraph stacks (wall-clock or bit weighted) from span events |
-//! | [`conformance`] | online checks of observed costs against calibrated theory envelopes |
+//! | [`conformance`] | online checks of observed costs against theory envelopes |
 //! | [`tracing`] | distributed trace contexts: deterministic 128-bit trace ids stitched across processes via request lines |
 //! | [`flight`] | always-on lock-free flight recorder ring, dumped as JSONL on error, `SIGQUIT`, or `GET /flightrecorder` |
 //!

@@ -3,15 +3,14 @@
 //! Production systems expose their health over a scrape endpoint, not a
 //! file dump. This module serves the live observability plane on a
 //! [`std::net::TcpListener`] — no external crates, one accept thread,
-//! bounded request parsing — with eight endpoints:
+//! bounded request parsing — with seven endpoints:
 //!
 //! | Path | Content | Source |
 //! |---|---|---|
 //! | `/metrics` | Prometheus text exposition of the live registry | [`Sources::metrics`] |
-//! | `/healthz` | `200 ok` until a conformance violation or calibration drift, then `503 degraded` | [`Sources::health`] |
+//! | `/healthz` | `200 ok` until a conformance violation, then `503 degraded` | [`Sources::health`] |
 //! | `/sessions` | engine registry snapshot as JSON | [`Sources::sessions`] |
 //! | `/profile` | folded flamegraph stacks (`?weight=wall\|bits`) | [`Sources::profile`] |
-//! | `/calibration` | router correction-factor table as JSON | [`Sources::calibration`] |
 //! | `/version` | build identity (crate version, catalogue size, profile) as JSON | [`Sources::version`] |
 //! | `/trace/<session>` | the session's stitched Chrome trace (404 for unknown sessions) | [`Sources::trace`] |
 //! | `/flightrecorder` | the always-on flight recorder ring as JSONL | [`Sources::flight`] |
@@ -54,9 +53,6 @@ pub struct Sources {
     pub sessions: Box<dyn Fn() -> String + Send + Sync>,
     /// Body for `/profile`, parameterized by the requested weight.
     pub profile: Box<dyn Fn(Weight) -> String + Send + Sync>,
-    /// Body for `/calibration` (JSON; the router's correction-factor
-    /// table, or `{}` when calibration is off).
-    pub calibration: Box<dyn Fn() -> String + Send + Sync>,
     /// Body for `/version` (JSON build identity).
     pub version: Box<dyn Fn() -> String + Send + Sync>,
     /// Body for `/trace/<session>`: the session's stitched Chrome trace,
@@ -85,7 +81,6 @@ impl Sources {
             metrics: Box::new(String::new),
             sessions: Box::new(|| "{}".to_string()),
             profile: Box::new(|_| String::new()),
-            calibration: Box::new(|| "{}".to_string()),
             version: Box::new(|| "{}".to_string()),
             trace: Box::new(|_| None),
             flight: Box::new(crate::flight::dump_jsonl),
@@ -229,28 +224,15 @@ fn handle_connection(stream: &mut TcpStream, sources: &Sources) -> std::io::Resu
             if health.ok() {
                 respond(stream, 200, "OK", "text/plain", "ok\n")
             } else {
-                let mut body = String::new();
-                if health.violations() > 0 || health.drifts() == 0 {
-                    body.push_str(&format!(
-                        "degraded: {} conformance violation(s)\n",
-                        health.violations()
-                    ));
-                }
-                if health.drifts() > 0 {
-                    body.push_str(&format!(
-                        "degraded: {} calibration drift(s)\n",
-                        health.drifts()
-                    ));
-                }
+                let body = format!(
+                    "degraded: {} conformance violation(s)\n",
+                    health.violations()
+                );
                 respond(stream, 503, "Service Unavailable", "text/plain", &body)
             }
         }
         "/sessions" => {
             let body = (sources.sessions)();
-            respond(stream, 200, "OK", "application/json", &body)
-        }
-        "/calibration" => {
-            let body = (sources.calibration)();
             respond(stream, 200, "OK", "application/json", &body)
         }
         "/version" => {
@@ -383,7 +365,6 @@ mod tests {
             metrics: Box::new(|| "# TYPE up gauge\nup 1\n".to_string()),
             sessions: Box::new(|| "{\"sessions\":[]}".to_string()),
             profile: Box::new(|w| format!("root;{} 10\n", w.label())),
-            calibration: Box::new(|| "{\"entries\":[]}".to_string()),
             version: Box::new(|| "{\"version\":\"0.1.0-test\"}".to_string()),
             trace: Box::new(|id| (id == 7).then(|| "[{\"pid\":7}]".to_string())),
             flight: Box::new(|| "{\"event\":\"session-complete\"}\n".to_string()),
@@ -418,10 +399,6 @@ mod tests {
         let (status, body) = http_get(addr, "/profile?weight=bits").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "root;bits 10\n");
-
-        let (status, body) = http_get(addr, "/calibration").unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, "{\"entries\":[]}");
 
         let (status, body) = http_get(addr, "/version").unwrap();
         assert_eq!(status, 200);
@@ -471,24 +448,6 @@ mod tests {
         let (status, body) = http_get(server.local_addr(), "/healthz").unwrap();
         assert_eq!(status, 503);
         assert!(body.contains("degraded: 3 conformance violation(s)"));
-    }
-
-    #[test]
-    fn healthz_degrades_on_calibration_drift() {
-        let _guard = one_at_a_time();
-        let health = Arc::new(Health::default());
-        let server =
-            TelemetryServer::start("127.0.0.1:0", test_sources(Arc::clone(&health))).unwrap();
-        health.record_drift(2);
-        let (status, body) = http_get(server.local_addr(), "/healthz").unwrap();
-        assert_eq!(status, 503);
-        assert_eq!(body, "degraded: 2 calibration drift(s)\n");
-
-        // Both causes at once list both lines.
-        health.record_violations(1);
-        let (_, body) = http_get(server.local_addr(), "/healthz").unwrap();
-        assert!(body.contains("1 conformance violation(s)"));
-        assert!(body.contains("2 calibration drift(s)"));
     }
 
     #[test]

@@ -22,6 +22,10 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark smoke (--quick: ground truth, screened reports, bit-identity sample)"
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --quick >/dev/null
 
+echo "==> docs/report_full.md is what report --all prints (release, ~2 min)"
+cargo build -q --release -p intersect-bench --bin report
+target/release/report --all 2>/dev/null | diff -u docs/report_full.md -
+
 echo "==> telemetry plane smoke"
 ./scripts/telemetry_smoke.sh
 

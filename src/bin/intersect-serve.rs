@@ -41,8 +41,6 @@ struct Options {
     listen: Option<String>,
     linger_ms: u64,
     slack: Option<f64>,
-    calibrate: bool,
-    miscalibrate: Vec<(intersect::core::api::ProtocolChoice, f64)>,
 }
 
 fn usage() -> ! {
@@ -93,23 +91,15 @@ fn usage() -> ! {
            --listen <addr>     serve live telemetry over HTTP while the\n\
                                workload runs (port 0 picks a free port):\n\
                                /metrics, /healthz, /sessions, /profile,\n\
-                               /calibration, /version, /trace/<id>,\n\
-                               /flightrecorder (SIGQUIT also dumps the\n\
-                               flight recorder to stderr)\n\
+                               /version, /trace/<id>, /flightrecorder\n\
+                               (SIGQUIT also dumps the flight recorder\n\
+                               to stderr)\n\
            --linger-ms <ms>    keep the telemetry server up this long after\n\
                                the workload drains (default 0)\n\
            --slack <f>         theory-conformance slack factor on predicted\n\
                                bits and rounds (default 3x bits / 4x rounds;\n\
                                checking is on whenever --listen or --slack\n\
-                               is given, and violations fail the run)\n\
-           --calibrate         fold completed-session cost residuals back\n\
-                               into the router (EWMA correction factors per\n\
-                               protocol and k-bucket, hysteresis-gated);\n\
-                               the live table is served on /calibration\n\
-           --miscalibrate <p=f> seed protocol p's correction factor to f in\n\
-                               every k-bucket before serving (repeatable) —\n\
-                               the deliberate-drift knob for exercising the\n\
-                               feedback loop; implies --calibrate"
+                               is given, and violations fail the run)"
     );
     std::process::exit(2);
 }
@@ -147,8 +137,6 @@ fn parse_args() -> Options {
         listen: None,
         linger_ms: 0,
         slack: None,
-        calibrate: false,
-        miscalibrate: Vec::new(),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -198,25 +186,6 @@ fn parse_args() -> Options {
             "--listen" => opts.listen = Some(value("--listen")),
             "--linger-ms" => opts.linger_ms = int("--linger-ms", value("--linger-ms")),
             "--slack" => opts.slack = Some(value("--slack").parse().unwrap_or_else(|_| usage())),
-            "--calibrate" => opts.calibrate = true,
-            "--miscalibrate" => {
-                let spec = value("--miscalibrate");
-                let parsed = spec.split_once('=').and_then(|(proto, factor)| {
-                    let choice = proto.parse().ok()?;
-                    let factor: f64 = factor.parse().ok()?;
-                    (factor > 0.0).then_some((choice, factor))
-                });
-                match parsed {
-                    Some(inject) => {
-                        opts.miscalibrate.push(inject);
-                        opts.calibrate = true;
-                    }
-                    None => {
-                        eprintln!("bad --miscalibrate {spec:?}; expected <protocol>=<factor>");
-                        usage()
-                    }
-                }
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument {other}");
@@ -526,9 +495,6 @@ fn main() -> ExitCode {
             .map(intersect::obs::ConformanceConfig::with_slack)
             .unwrap_or_default()
     });
-    let calibration = opts
-        .calibrate
-        .then(intersect::engine::CalibrationConfig::default);
     let config = EngineConfig {
         workers: opts.workers,
         queue_capacity: opts.queue,
@@ -537,7 +503,6 @@ fn main() -> ExitCode {
         policy,
         debug_session: opts.debug_session,
         conformance,
-        calibration,
     };
 
     // Tracing is paid for only when asked for: without an export flag or
@@ -555,26 +520,13 @@ fn main() -> ExitCode {
     }
 
     let engine = Engine::start(config);
-    // The deliberate-drift knob: seed the requested correction factors
-    // into every k-bucket before any traffic, so the feedback loop has
-    // something to converge away from.
-    if let Some(calibrator) = engine.calibrator() {
-        for (choice, factor) in &opts.miscalibrate {
-            for bucket in 0..=40 {
-                calibrator.inject(*choice, bucket, *factor);
-            }
-            eprintln!("calibration: seeded {choice} correction factor {factor} in all k-buckets");
-        }
-    }
     let server = match &opts.listen {
         Some(addr) => {
             let watch = engine.watch();
             let health = engine
-                .calibrator()
-                .map(|c| c.health())
-                .or_else(|| engine.conformance_monitor().map(|m| m.health()))
+                .conformance_monitor()
+                .map(|m| m.health())
                 .unwrap_or_default();
-            let calibrator = engine.calibrator();
             let metrics_sub = subscriber.clone().expect("listen implies a subscriber");
             let profile_sub = metrics_sub.clone();
             let trace_sub = metrics_sub.clone();
@@ -588,10 +540,6 @@ fn main() -> ExitCode {
                 sessions: Box::new(move || watch.sessions_json()),
                 profile: Box::new(move |w| {
                     intersect::obs::folded::folded_stacks(&profile_sub.events(), w)
-                }),
-                calibration: Box::new(move || match &calibrator {
-                    Some(cal) => cal.snapshot().to_json(),
-                    None => "{}".to_string(),
                 }),
                 trace: Box::new(move |session| {
                     let events: Vec<_> = trace_sub

@@ -1,9 +1,9 @@
 //! `intersect-top` — live ops view of a running `intersect-serve
 //! --listen` telemetry plane.
 //!
-//! Polls `/metrics`, `/sessions`, `/calibration`, `/version`, and
-//! `/healthz`, folds each poll through the pure reducer in
-//! `intersect::tui::state`, and draws the pure frame from
+//! Polls `/metrics`, `/sessions`, `/version`, and `/healthz`, folds
+//! each poll through the pure reducer in `intersect::tui::state`, and
+//! draws the pure frame from
 //! `intersect::tui::render`. The binary itself only owns argument
 //! parsing, the poll loop, and the ANSI alternate screen; everything
 //! worth testing lives in the library.
@@ -33,8 +33,7 @@ options:
 
 In live mode the dashboard runs on the ANSI alternate screen and exits
 cleanly on Ctrl-C / SIGTERM. Point it at a server started with
-`intersect-serve --listen <addr>` (add --calibrate to populate the
-correction-factor table).
+`intersect-serve --listen <addr>`.
 ";
 
 struct Options {

@@ -1,13 +1,11 @@
 //! `intersect-top`: a zero-dependency live ops view of the telemetry
 //! plane.
 //!
-//! The scrape server (PR 4) made the engine observable; the calibration
-//! loop (this PR) made it *adaptive*. This module is the operator's
-//! window on both: a terminal dashboard polling `/metrics`,
-//! `/sessions`, `/calibration`, `/version`, and `/healthz` and
-//! rendering throughput/latency sparklines, per-protocol envelope
-//! health, plan-cache hit rates, and the router's live
-//! correction-factor table.
+//! The scrape server made the engine observable; this module is the
+//! operator's window on it: a terminal dashboard polling `/metrics`,
+//! `/sessions`, `/version`, and `/healthz` and rendering
+//! throughput/latency sparklines, per-protocol envelope health and
+//! plan-cache hit rates.
 //!
 //! The design splits three layers so the interesting one is testable
 //! without a terminal or a server:

@@ -5,7 +5,7 @@
 //! what makes the golden-frame test possible: the same bytes render in
 //! CI, in a pipe, and on an operator's terminal.
 
-use crate::tui::state::{AppState, CalRow};
+use crate::tui::state::AppState;
 
 const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -58,20 +58,6 @@ fn hit_rate(hits: u64, misses: u64) -> String {
 fn push_line(out: &mut String, width: usize, line: &str) {
     out.extend(line.chars().take(width));
     out.push('\n');
-}
-
-fn calibration_row(row: &CalRow) -> String {
-    format!(
-        "  {:<14} {:>6} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>6} {}",
-        row.protocol,
-        row.bucket,
-        row.samples,
-        row.bits_estimate,
-        row.bits_applied,
-        row.rounds_applied,
-        row.recalibrations,
-        if row.drifting { "DRIFT" } else { "ok" },
-    )
 }
 
 /// Renders one full frame at the given character width. Pure: equal
@@ -263,31 +249,6 @@ pub fn render(state: &AppState, width: usize) -> String {
     }
     push_line(&mut out, w, "");
 
-    push_line(
-        &mut out,
-        w,
-        &format!(
-            "calibration ({} recalibrations, {} drifts)",
-            state.recalibrations, state.drifts
-        ),
-    );
-    if state.calibration.is_empty() {
-        push_line(&mut out, w, "  (calibration disabled or no entries)");
-    } else {
-        push_line(
-            &mut out,
-            w,
-            &format!(
-                "  {:<14} {:>6} {:>8} {:>9} {:>9} {:>9} {:>6} state",
-                "protocol", "bucket", "samples", "bits est", "applied", "rounds", "recal"
-            ),
-        );
-        for row in &state.calibration {
-            push_line(&mut out, w, &calibration_row(row));
-        }
-    }
-    push_line(&mut out, w, "");
-
     if state.ring > 0 {
         push_line(
             &mut out,
@@ -343,14 +304,13 @@ mod tests {
     #[test]
     fn render_is_pure_and_respects_width() {
         let mut state = AppState::default();
-        let sample = Sample::from_bodies("", "{}", "{}", "{}", Some((200, "ok\n")));
+        let sample = Sample::from_bodies("", "{}", "{}", Some((200, "ok\n")));
         state.reduce(&sample, 1.0);
         let a = render(&state, 72);
         let b = render(&state, 72);
         assert_eq!(a, b, "equal states must render equal frames");
         assert!(a.lines().all(|l| l.chars().count() <= 72));
         assert!(a.contains("health: ok"));
-        assert!(a.contains("(calibration disabled or no entries)"));
     }
 
     #[test]
@@ -360,7 +320,7 @@ mod tests {
                        engine_segment_micros_count{segment=\"rounds-execute\"} 10\n\
                        engine_segment_micros_sum{segment=\"admit-queue\"} 100\n\
                        engine_segment_micros_count{segment=\"admit-queue\"} 10\n";
-        let sample = Sample::from_bodies(metrics, "{}", "{}", "{}", Some((200, "ok\n")));
+        let sample = Sample::from_bodies(metrics, "{}", "{}", Some((200, "ok\n")));
         state.reduce(&sample, 1.0);
         let frame = render(&state, 100);
         assert!(frame.contains("latency waterfall (mean us/session)"));
@@ -377,28 +337,5 @@ mod tests {
         // An empty waterfall renders the placeholder instead.
         let empty = render(&AppState::default(), 100);
         assert!(empty.contains("(no segment observations yet)"));
-    }
-
-    #[test]
-    fn render_shows_drift_and_calibration_rows() {
-        let mut state = AppState::default();
-        let calibration = "{\"entries\":[{\"protocol\":\"sqrt-fknn\",\"k_bucket\":5,\
-                           \"samples\":64,\"bits_estimate\":2.9,\"bits_applied\":2.5,\
-                           \"rounds_estimate\":1.0,\"rounds_applied\":1.0,\
-                           \"recalibrations\":2,\"drifting\":true}]}";
-        let sample = Sample::from_bodies(
-            "router_recalibration_total{protocol=\"sqrt-fknn\",k_bucket=\"2^5\",bound=\"bits\"} 2\n\
-             router_drift_total{protocol=\"sqrt-fknn\",k_bucket=\"2^5\"} 1\n",
-            "{}",
-            calibration,
-            "{}",
-            Some((503, "degraded: 1 calibration drift(s)\n")),
-        );
-        state.reduce(&sample, 1.0);
-        let frame = render(&state, 100);
-        assert!(frame.contains("calibration (2 recalibrations, 1 drifts)"));
-        assert!(frame.contains("DRIFT"));
-        assert!(frame.contains("2^5"));
-        assert!(frame.contains("health: degraded: 1 calibration drift(s)"));
     }
 }

@@ -25,8 +25,6 @@ pub struct Sample {
     pub metrics: MetricsMap,
     /// Parsed `/sessions` document.
     pub sessions: Option<serde_json::Value>,
-    /// Parsed `/calibration` table.
-    pub calibration: Option<serde_json::Value>,
     /// Parsed `/version` identity.
     pub version: Option<serde_json::Value>,
     /// `/healthz` status code and body.
@@ -41,14 +39,12 @@ impl Sample {
     pub fn from_bodies(
         metrics: &str,
         sessions: &str,
-        calibration: &str,
         version: &str,
         health: Option<(u16, &str)>,
     ) -> Sample {
         Sample {
             metrics: parse_metrics(metrics),
             sessions: serde_json::from_str(sessions).ok(),
-            calibration: serde_json::from_str(calibration).ok(),
             version: serde_json::from_str(version).ok(),
             health: health.map(|(code, body)| (code, body.to_string())),
             reachable: true,
@@ -66,18 +62,13 @@ impl Sample {
         };
         let metrics = body_if_ok(get("/metrics"));
         let sessions = body_if_ok(get("/sessions"));
-        let calibration = body_if_ok(get("/calibration"));
         let version = body_if_ok(get("/version"));
         let health = get("/healthz");
-        let reachable = metrics.is_some()
-            || sessions.is_some()
-            || calibration.is_some()
-            || version.is_some()
-            || health.is_some();
+        let reachable =
+            metrics.is_some() || sessions.is_some() || version.is_some() || health.is_some();
         Sample {
             metrics: metrics.as_deref().map(parse_metrics).unwrap_or_default(),
             sessions: sessions.and_then(|b| serde_json::from_str(&b).ok()),
-            calibration: calibration.and_then(|b| serde_json::from_str(&b).ok()),
             version: version.and_then(|b| serde_json::from_str(&b).ok()),
             health,
             reachable,
@@ -85,7 +76,7 @@ impl Sample {
     }
 
     /// Sum of every series whose base name (the part before `{`) equals
-    /// `base` — how labelled counters like `router_recalibration_total`
+    /// `base` — how labelled counters like `conformance_violations_total`
     /// are totalled.
     pub fn metric_sum(&self, base: &str) -> f64 {
         self.metrics
@@ -144,24 +135,28 @@ mod tests {
     #[test]
     fn metric_sum_totals_labelled_series_without_prefix_collisions() {
         let sample = Sample::from_bodies(
-            "router_drift_total{protocol=\"sqrt\"} 2\n\
-             router_drift_total{protocol=\"iblt\"} 1\n\
-             router_drift_total_other 100\n",
-            "{}",
+            "conformance_violations_total{protocol=\"sqrt\"} 2\n\
+             conformance_violations_total{protocol=\"iblt\"} 1\n\
+             conformance_violations_total_other 100\n",
             "{}",
             "{}",
             None,
         );
-        assert_eq!(sample.metric_sum("router_drift_total"), 3.0);
-        assert_eq!(sample.metric_sum("router_drift_total_other"), 100.0);
-        assert_eq!(sample.metric("router_drift_total{protocol=\"iblt\"}"), 1.0);
+        assert_eq!(sample.metric_sum("conformance_violations_total"), 3.0);
+        assert_eq!(
+            sample.metric_sum("conformance_violations_total_other"),
+            100.0
+        );
+        assert_eq!(
+            sample.metric("conformance_violations_total{protocol=\"iblt\"}"),
+            1.0
+        );
     }
 
     #[test]
     fn unparseable_bodies_degrade_to_none() {
-        let sample = Sample::from_bodies("", "not json", "{]", "", Some((503, "degraded\n")));
+        let sample = Sample::from_bodies("", "not json", "", Some((503, "degraded\n")));
         assert!(sample.sessions.is_none());
-        assert!(sample.calibration.is_none());
         assert!(sample.version.is_none());
         assert_eq!(sample.health.as_ref().unwrap().0, 503);
         assert!(sample.reachable);

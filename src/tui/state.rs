@@ -27,27 +27,6 @@ pub struct ProtocolRow {
     pub violations: u64,
 }
 
-/// One `(protocol, k-bucket)` row of the calibration panel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalRow {
-    /// Protocol display name.
-    pub protocol: String,
-    /// Bucket label (`2^b`).
-    pub bucket: String,
-    /// Real residuals folded.
-    pub samples: u64,
-    /// EWMA estimate of observed/predicted bits.
-    pub bits_estimate: f64,
-    /// The bits factor routing actually applies.
-    pub bits_applied: f64,
-    /// The rounds factor routing actually applies.
-    pub rounds_applied: f64,
-    /// Hysteresis snaps so far.
-    pub recalibrations: u64,
-    /// Currently outside the drift band.
-    pub drifting: bool,
-}
-
 /// Latency percentiles from the last sample, microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyView {
@@ -132,12 +111,6 @@ pub struct AppState {
     pub pair_context: (u64, u64, u64),
     /// Pair coin-block refills (cumulative).
     pub coin_refills: u64,
-    /// Calibration table rows, in `/calibration` order.
-    pub calibration: Vec<CalRow>,
-    /// Total hysteresis snaps across all entries.
-    pub recalibrations: u64,
-    /// Total drift declarations.
-    pub drifts: u64,
     /// Envelope checks performed.
     pub conformance_checks: u64,
     /// Envelope breaches.
@@ -310,30 +283,8 @@ impl AppState {
             0
         };
         self.multiparty_player_max_bits = sample.metric("multiparty_player_bits_max") as u64;
-        self.recalibrations = sample.metric_sum("router_recalibration_total") as u64;
-        self.drifts = sample.metric_sum("router_drift_total") as u64;
         self.conformance_checks = sample.metric_sum("conformance_checks_total") as u64;
         self.conformance_violations = sample.metric_sum("conformance_violations_total") as u64;
-
-        if let Some(table) = &sample.calibration {
-            self.calibration = table["entries"]
-                .as_array()
-                .map(|rows| {
-                    rows.iter()
-                        .map(|e| CalRow {
-                            protocol: e["protocol"].as_str().unwrap_or("?").to_string(),
-                            bucket: format!("2^{}", as_u64(&e["k_bucket"])),
-                            samples: as_u64(&e["samples"]),
-                            bits_estimate: e["bits_estimate"].as_f64().unwrap_or(1.0),
-                            bits_applied: e["bits_applied"].as_f64().unwrap_or(1.0),
-                            rounds_applied: e["rounds_applied"].as_f64().unwrap_or(1.0),
-                            recalibrations: as_u64(&e["recalibrations"]),
-                            drifting: e["drifting"].as_bool().unwrap_or(false),
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-        }
     }
 }
 
@@ -378,8 +329,8 @@ mod tests {
     #[test]
     fn reduce_computes_throughput_from_completed_deltas() {
         let mut state = AppState::default();
-        let s1 = Sample::from_bodies("", &sessions_doc(100, 500), "{}", "{}", Some((200, "ok\n")));
-        let s2 = Sample::from_bodies("", &sessions_doc(150, 700), "{}", "{}", Some((200, "ok\n")));
+        let s1 = Sample::from_bodies("", &sessions_doc(100, 500), "{}", Some((200, "ok\n")));
+        let s2 = Sample::from_bodies("", &sessions_doc(150, 700), "{}", Some((200, "ok\n")));
         state.reduce(&s1, 1.0);
         state.reduce(&s2, 2.0);
         assert_eq!(state.ticks, 2);
@@ -397,7 +348,7 @@ mod tests {
     #[test]
     fn unreachable_samples_count_failures_without_clearing_state() {
         let mut state = AppState::default();
-        let live = Sample::from_bodies("", &sessions_doc(10, 100), "{}", "{}", Some((200, "ok\n")));
+        let live = Sample::from_bodies("", &sessions_doc(10, 100), "{}", Some((200, "ok\n")));
         state.reduce(&live, 1.0);
         let dead = Sample::default();
         state.reduce(&dead, 1.0);
@@ -409,43 +360,31 @@ mod tests {
     }
 
     #[test]
-    fn calibration_and_router_metrics_flow_through() {
+    fn cache_and_conformance_metrics_flow_through() {
         let mut state = AppState::default();
         let metrics = "engine_plan_cache_hits 90\nengine_plan_cache_misses 10\n\
                        engine_plan_cache_entries 4\n\
                        pair_context_hits 30\npair_context_misses 6\n\
                        pair_context_entries 3\ncoin_block_refills_total 2\n\
-                       router_recalibration_total{protocol=\"sqrt-fknn\",k_bucket=\"2^8\",bound=\"bits\"} 2\n\
-                       router_drift_total{protocol=\"sqrt-fknn\",k_bucket=\"2^8\"} 1\n\
                        conformance_checks_total 100\n\
                        conformance_violations_total{protocol=\"sqrt-fknn\",bound=\"bits\"} 3\n";
-        let calibration = "{\"entries\":[{\"protocol\":\"sqrt-fknn\",\"k_bucket\":8,\
-                           \"samples\":64,\"bits_estimate\":2.9,\"bits_applied\":2.5,\
-                           \"rounds_estimate\":1.0,\"rounds_applied\":1.0,\
-                           \"recalibrations\":2,\"drifting\":true}]}";
         let sample = Sample::from_bodies(
             metrics,
             &sessions_doc(5, 50),
-            calibration,
             "{\"version\":\"0.1.0\",\"catalogue_size\":12,\"profile\":\"release\"}",
-            Some((503, "degraded: 1 calibration drift(s)\n")),
+            Some((503, "degraded: 3 conformance violation(s)\n")),
         );
         state.reduce(&sample, 1.0);
         assert_eq!(state.plan_cache, (90, 10, 4));
         assert_eq!(state.pair_context, (30, 6, 3));
         assert_eq!(state.coin_refills, 2);
-        assert_eq!(state.recalibrations, 2);
-        assert_eq!(state.drifts, 1);
         assert_eq!(state.conformance_violations, 3);
         assert_eq!(state.per_protocol[0].violations, 3);
-        assert_eq!(state.calibration.len(), 1);
-        assert_eq!(state.calibration[0].bucket, "2^8");
-        assert!(state.calibration[0].drifting);
         assert_eq!(
             state.version_line,
             "intersect 0.1.0 (release, catalogue 12)"
         );
-        assert_eq!(state.health_line, "degraded: 1 calibration drift(s)");
+        assert_eq!(state.health_line, "degraded: 3 conformance violation(s)");
     }
 
     #[test]
@@ -458,7 +397,7 @@ mod tests {
                        engine_segment_micros_sum{segment=\"drain\"} 50\n\
                        engine_segment_micros_count{segment=\"drain\"} 10\n";
         let doc = format!("{{\"ring\":16,{}", &sessions_doc(5, 50)[1..]);
-        let sample = Sample::from_bodies(metrics, &doc, "{}", "{}", Some((200, "ok\n")));
+        let sample = Sample::from_bodies(metrics, &doc, "{}", Some((200, "ok\n")));
         state.reduce(&sample, 1.0);
         assert_eq!(state.ring, 16);
         // Canonical order, not alphabetical; segments never observed are
@@ -478,7 +417,7 @@ mod tests {
                        multiparty_player_bits_sum 825600\n\
                        multiparty_player_bits_count 132\n\
                        multiparty_player_bits_max 9400\n";
-        let sample = Sample::from_bodies(metrics, "{}", "{}", "{}", Some((200, "ok\n")));
+        let sample = Sample::from_bodies(metrics, "{}", "{}", Some((200, "ok\n")));
         state.reduce(&sample, 1.0);
         let rows: Vec<(u64, u64)> = state.multiparty.iter().map(|r| (r.m, r.sessions)).collect();
         assert_eq!(
@@ -490,7 +429,7 @@ mod tests {
         assert_eq!(state.multiparty_player_mean_bits, 6254);
         assert_eq!(state.multiparty_player_max_bits, 9400);
         // No multiparty traffic: the pane's inputs reset to empty/zero.
-        let quiet = Sample::from_bodies("", "{}", "{}", "{}", Some((200, "ok\n")));
+        let quiet = Sample::from_bodies("", "{}", "{}", Some((200, "ok\n")));
         state.reduce(&quiet, 1.0);
         assert!(state.multiparty.is_empty());
         assert_eq!(state.multiparty_player_mean_bits, 0);
@@ -499,7 +438,7 @@ mod tests {
     #[test]
     fn history_rings_stay_bounded() {
         let mut state = AppState::default();
-        let sample = Sample::from_bodies("", &sessions_doc(1, 1), "{}", "{}", Some((200, "ok\n")));
+        let sample = Sample::from_bodies("", &sessions_doc(1, 1), "{}", Some((200, "ok\n")));
         for _ in 0..(HISTORY + 20) {
             state.reduce(&sample, 1.0);
         }

@@ -3,22 +3,19 @@
 //! family, and no family or sample may appear twice.
 //!
 //! The workload below is chosen to light up every metric family the
-//! serve path can emit — engine counters, plan cache, conformance,
-//! calibration (including a forced recalibration so the labelled
-//! `router_*` counters exist), and the `build_info` identity gauge. A
-//! metric registered without a matching `describe` call fails this test;
-//! so does a `describe` for a family that no longer exists.
+//! serve path can emit — engine counters, plan cache, conformance, pair
+//! contexts, multiparty, and the `build_info` identity gauge. A metric
+//! registered without a matching `describe` call fails this test; so
+//! does a `describe` for a family that no longer exists.
 
-use intersect::engine::calibration::k_bucket;
 use intersect::engine::prelude::*;
-use intersect::engine::{CalibrationConfig, EngineConfig};
+use intersect::engine::EngineConfig;
 use intersect::obs;
 use intersect_core::sets::ProblemSpec;
 use std::collections::BTreeSet;
 
-/// Drives a small mixed workload with conformance + calibration armed
-/// and a deliberate miscalibration (so recalibration/drift counters
-/// fire), then renders the exposition exactly as `/metrics` would.
+/// Drives a small mixed workload with conformance armed, then renders
+/// the exposition exactly as `/metrics` would.
 fn live_exposition() -> String {
     let sub = obs::Subscriber::new();
     let _guard = sub.install();
@@ -26,16 +23,7 @@ fn live_exposition() -> String {
 
     let mut config = EngineConfig::new(2);
     config.conformance = Some(Default::default());
-    config.calibration = Some(CalibrationConfig::default());
     let engine = Engine::start(config);
-    let calibrator = engine.calibrator().expect("calibration armed");
-    // An 8x inflation on the disjoint regime's winner guarantees at
-    // least one hysteresis snap while the residuals fold it back.
-    calibrator.inject(
-        intersect::core::api::ProtocolChoice::Sqrt,
-        k_bucket(1 << 10),
-        8.0,
-    );
     for id in 0..48u64 {
         let (k, overlap) = if id % 2 == 0 { (1 << 10, 0) } else { (64, 60) };
         let mut req = SessionRequest::new(id, ProblemSpec::new(1 << 30, k), overlap);
@@ -73,22 +61,6 @@ fn live_exposition() -> String {
     // light up `flight_recorder_dumps_total` (which `dump_jsonl`
     // self-describes on first use).
     let _ = obs::flight::dump_jsonl();
-
-    // Honest traffic never drifts, so fold sustained 4x residuals through
-    // a standalone calibrator to light up the drift counter family too.
-    let drifty = intersect::engine::Calibrator::new(CalibrationConfig::default());
-    let choice = intersect::core::api::ProtocolChoice::OneRound;
-    let spec = ProblemSpec::new(1 << 20, 256);
-    let predicted = choice.predicted_cost(spec, None);
-    for _ in 0..24 {
-        drifty.fold(
-            choice,
-            spec.k,
-            predicted,
-            (predicted.bits * 4.0) as u64,
-            (predicted.rounds * 4.0).ceil() as u64,
-        );
-    }
 
     obs::export::prometheus_with_help(&sub.metrics().snapshot(), &sub.metrics().help_snapshot())
 }
@@ -172,10 +144,6 @@ fn every_exported_series_has_help_and_type_and_no_duplicates() {
     // The families this PR is specifically about must be present.
     for expected in [
         "build_info",
-        "router_recalibration_total",
-        "router_drift_total",
-        "router_correction_factor_milli",
-        "router_residual_bits_permille",
         "conformance_checks_total",
         "pair_context_hits",
         "pair_context_misses",

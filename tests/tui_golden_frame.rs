@@ -1,7 +1,7 @@
 //! Golden-frame test for `intersect-top`: the renderer, fed a captured
 //! telemetry snapshot, must reproduce the committed frame byte for byte.
 //!
-//! The fixture bodies under `tests/fixtures/` stand in for the five
+//! The fixture bodies under `tests/fixtures/` stand in for the four
 //! scrape endpoints; `Sample::from_bodies` builds the exact structure
 //! live mode builds from HTTP, so this pins the scrape-parse → reduce →
 //! render path end to end without a server or a terminal.
@@ -24,13 +24,12 @@ fn fixture(name: &str) -> String {
 fn fixture_state() -> AppState {
     let metrics = fixture("tui_metrics.txt");
     let sessions = fixture("tui_sessions.json");
-    let calibration = fixture("tui_calibration.json");
     let version = "{\"version\":\"0.1.0\",\"catalogue_size\":12,\"profile\":\"release\"}";
-    let health = Some((503, "degraded: 1 calibration drift(s)\n"));
+    let health = Some((503, "degraded: 2 conformance violation(s)\n"));
     // Two ticks so the throughput delta and sparklines have history; the
     // second sample repeats the first, so the rate settles to zero on
     // tick two (completed count unchanged) after 240/s on tick one.
-    let sample = Sample::from_bodies(&metrics, &sessions, &calibration, version, health);
+    let sample = Sample::from_bodies(&metrics, &sessions, version, health);
     let mut state = AppState::default();
     state.reduce(&sample, 1.0);
     state.reduce(&sample, 1.0);
@@ -61,7 +60,7 @@ fn golden_frame_content_spot_checks() {
     let frame = render(&fixture_state(), WIDTH);
     // Identity and health from /version and /healthz.
     assert!(frame.contains("intersect 0.1.0 (release, catalogue 12)"));
-    assert!(frame.contains("health: degraded: 1 calibration drift(s)"));
+    assert!(frame.contains("health: degraded: 2 conformance violation(s)"));
     // Session counters from /sessions.
     assert!(frame.contains("completed 240"));
     assert!(frame.contains("workers 4"));
@@ -82,10 +81,6 @@ fn golden_frame_content_spot_checks() {
     assert!(frame.contains("m=8            3"));
     // Recent-session ring capacity from /sessions.
     assert!(frame.contains("recent sessions (ring 64)"));
-    // Calibration table from /calibration plus the router counters.
-    assert!(frame.contains("calibration (4 recalibrations, 1 drifts)"));
-    assert!(frame.contains("DRIFT"));
-    assert!(frame.contains("2^5"));
     // Every line respects the requested width.
     assert!(frame.lines().all(|l| l.chars().count() <= WIDTH));
 }
