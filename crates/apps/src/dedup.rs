@@ -41,7 +41,7 @@ impl Document {
 ///
 /// Both servers must use the same function, so it is keyed only by fixed
 /// constants — equal contents hash equal on both sides.
-pub fn content_fingerprint(content: &[u8]) -> u64 {
+pub(crate) fn content_fingerprint(content: &[u8]) -> u64 {
     let mut acc = (content.len() as u64) % M61;
     for chunk in content.chunks(7) {
         let mut word = 0u64;

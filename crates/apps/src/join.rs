@@ -59,7 +59,7 @@ impl Table {
     }
 
     /// The key set of the table.
-    pub fn key_set(&self) -> ElementSet {
+    pub(crate) fn key_set(&self) -> ElementSet {
         self.rows.keys().copied().collect()
     }
 

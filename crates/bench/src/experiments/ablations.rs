@@ -11,7 +11,7 @@ use intersect_core::tree::{DegreePolicy, ErrorPolicy, TreeProtocol};
 
 /// A1 — degree schedule: the paper's `log^{(r-i)} k` fan-out vs a uniform
 /// `k^{1/r}`-ary tree of the same depth.
-pub fn a1(quick: bool) -> Vec<Table> {
+pub(crate) fn a1(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "A1 — tree degree schedule (claim: the iterated-log fan-out concentrates \
          equality tests where they are cheap; a uniform-degree tree of equal depth \
@@ -114,7 +114,7 @@ pub fn a2(quick: bool) -> Vec<Table> {
 
 /// A3 — the per-level error schedule `1/(log^{(r-i-1)} k)^4` vs flat
 /// schedules.
-pub fn a3(quick: bool) -> Vec<Table> {
+pub(crate) fn a3(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "A3 — equality-test error schedule (claim: the paper's level-tuned errors \
          match flat-strict reliability at flat-loose-like cost)",
@@ -149,7 +149,7 @@ pub fn a3(quick: bool) -> Vec<Table> {
 /// A4 — the universe-reduction exponent `c` in `N = k^c` (the paper
 /// requires `c > 2`): smaller `c` saves nothing on the wire (seeds are
 /// shared-coin) but raises the collision failure rate `O(k^{2-c})`.
-pub fn a4(quick: bool) -> Vec<Table> {
+pub(crate) fn a4(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "A4 — universe-reduction exponent c (N = k^c, paper requires c > 2): \
          the reduction is communication-free, so larger c is free insurance; \

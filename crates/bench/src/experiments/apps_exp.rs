@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// E11 — exact Jaccard / union / Hamming / rarity, and the distributed
 /// join, all at intersection cost (vs the ship-a-table baseline).
-pub fn e11(quick: bool) -> Vec<Table> {
+pub(crate) fn e11(quick: bool) -> Vec<Table> {
     let mut stats_table = Table::new(
         "E11a — exact similarity statistics at intersection cost \
          (claim: union size, Jaccard, Hamming distance, 1-/2-rarity all exact, \
@@ -139,7 +139,7 @@ pub fn e11(quick: bool) -> Vec<Table> {
 /// E13 — exact recovery (this paper) vs one-message approximation
 /// (the Pagh–Stöckel–Woodruff related-work contrast): what the extra
 /// messages and bits buy.
-pub fn e13(quick: bool) -> Vec<Table> {
+pub(crate) fn e13(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E13 — exact intersection (Theorem 1.1) vs bottom-k sketch approximation \
          (one-way, PSW14-style): the sketch is cheap but inexact; exactness costs \

@@ -27,7 +27,7 @@ fn string_of(v: u64, bits: usize) -> BitBuf {
 
 /// E7 — `EQ^n_k` in `O(k)` bits and `O(√k)` rounds with error
 /// `2^{-Ω(√k)}`, across equal/unequal mixes and string lengths.
-pub fn e7(quick: bool) -> Vec<Table> {
+pub(crate) fn e7(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E7 — Theorem 3.2 (amortized equality): bits/k flat in k and in the string \
          length n, rounds ≈ O(√k), no wrong verdicts",

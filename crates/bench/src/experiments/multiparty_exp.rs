@@ -71,7 +71,7 @@ pub fn e9(quick: bool) -> Vec<Table> {
 
 /// E10 — Corollary 4.2: the tournament bounds the worst-loaded player at
 /// the price of more rounds.
-pub fn e10(quick: bool) -> Vec<Table> {
+pub(crate) fn e10(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E10 — Corollary 4.2 (worst-case multi-party): tournament cuts the max-loaded \
          player vs the coordinator protocol, trading rounds for balance",

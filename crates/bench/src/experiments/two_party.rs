@@ -35,7 +35,7 @@ fn trials(quick: bool) -> usize {
 
 /// E1 — Theorem 1.1/3.6: the round/communication trade-off
 /// `O(k·log^{(r)} k)` bits within `6r` rounds, success `1 − 1/poly(k)`.
-pub fn e1(quick: bool) -> Vec<Table> {
+pub(crate) fn e1(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E1 — Theorem 1.1: tree protocol, bits/k and rounds vs round budget r \
          (n = 2^40, overlap 0.5; claim: bits/k ∝ log^(r) k, rounds ≤ 6r)",
@@ -83,7 +83,7 @@ pub fn e1(quick: bool) -> Vec<Table> {
 }
 
 /// E2 — the headline: `r = log* k` gives `O(k)` bits, `O(log* k)` rounds.
-pub fn e2(quick: bool) -> Vec<Table> {
+pub(crate) fn e2(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E2 — headline: r = log* k ⇒ O(k) bits, O(log* k) rounds \
          (claim: bits/k flat in k; rounds ≤ 6·log* k)",
@@ -141,7 +141,7 @@ pub fn e3(quick: bool) -> Vec<Table> {
 
 /// E4 — the one-round landscape: deterministic `O(k log(n/k))` vs
 /// randomized `O(k log k)`, with the crossover as `n/k` varies.
-pub fn e4(quick: bool) -> Vec<Table> {
+pub(crate) fn e4(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E4 — one-round protocols (k = 256): deterministic k·log(n/k) vs randomized \
          k·log k (claim: randomized wins once log(n/k) ≫ log k; crossover near n/k ≈ k²·2^e/k)",
@@ -187,7 +187,7 @@ pub fn e4(quick: bool) -> Vec<Table> {
 /// E5 — \[HW07\] baseline: disjointness at `O(k)` / `O(log k)` rounds, and
 /// the paper's point that full intersection now costs only a constant
 /// factor more.
-pub fn e5(quick: bool) -> Vec<Table> {
+pub(crate) fn e5(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E5 — disjointness vs full intersection (claim: INT via Theorem 1.1 is within a \
          constant factor of the HW07 DISJ baseline — recovering everything ≈ as cheap as \
@@ -255,7 +255,7 @@ pub fn e6(quick: bool) -> Vec<Table> {
 /// E8 — Fact 2.1: `EQ^n_k` solved through the intersection protocol,
 /// compared with the direct amortized-equality engine — the paper's
 /// round-complexity improvement over \[FKNN95\].
-pub fn e8(quick: bool) -> Vec<Table> {
+pub(crate) fn e8(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E8 — Fact 2.1: k equality instances via INT vs direct amortized equality \
          (claim: INT matches O(k) bits while cutting rounds from O(√k) to O(log* k))",
@@ -337,7 +337,7 @@ pub fn e8(quick: bool) -> Vec<Table> {
 /// `Ω(k·log(n/k))` for any number of rounds, while intersection escapes to
 /// `O(k)` — so the gap must GROW with `n/k` for union but stay flat for
 /// intersection.
-pub fn e12(quick: bool) -> Vec<Table> {
+pub(crate) fn e12(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E12 — recovering the union vs the intersection as n/k grows \
          (claim: union recovery is pinned to k·log(n/k) for any r; INT is flat)",
@@ -375,7 +375,7 @@ pub fn e12(quick: bool) -> Vec<Table> {
 /// E14 — worst-case optimality vs input-adaptivity: the paper's
 /// cardinality-proportional `O(k)` bound against difference-proportional
 /// IBLT reconciliation (`O(d·log n)`), sweeping the difference `d`.
-pub fn e14(quick: bool) -> Vec<Table> {
+pub(crate) fn e14(quick: bool) -> Vec<Table> {
     use intersect_core::reconcile::IbltReconcile;
     let mut table = Table::new(
         "E14 — paper protocol (O(k), any input) vs IBLT reconciliation (O(d·log n), \
@@ -422,7 +422,7 @@ pub fn e14(quick: bool) -> Vec<Table> {
 /// E15 — toward the paper's open problem ("does an r-round protocol with
 /// O(k·log^(r) k) exist?"): the pipelined tree runs Algorithm 1 in
 /// `2r + 1` messages instead of `4r − 2`, at the same cost.
-pub fn e15(quick: bool) -> Vec<Table> {
+pub(crate) fn e15(quick: bool) -> Vec<Table> {
     use intersect_core::tree_pipelined::PipelinedTree;
     let mut table = Table::new(
         "E15 — message-schedule compression (open problem): plain Algorithm 1 \

@@ -43,7 +43,7 @@ impl Sample {
     }
 
     /// Mean bits divided by `k`.
-    pub fn bits_per(&self, k: u64) -> f64 {
+    pub(crate) fn bits_per(&self, k: u64) -> f64 {
         self.mean_bits / k as f64
     }
 }
@@ -55,7 +55,7 @@ impl Sample {
 ///
 /// Propagates transport-level failures (protocol *correctness* failures
 /// are counted, not propagated).
-pub fn measure_intersection(
+pub(crate) fn measure_intersection(
     protocol: &dyn SetIntersection,
     workload: &Workload,
     trials: usize,
@@ -84,7 +84,7 @@ pub fn measure_intersection(
 /// # Errors
 ///
 /// Propagates transport-level failures.
-pub fn measure_disjointness(
+pub(crate) fn measure_disjointness(
     protocol: &dyn SetDisjointness,
     workload: &Workload,
     trials: usize,

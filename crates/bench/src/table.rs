@@ -29,7 +29,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row width mismatch");
         self.rows.push(row);
     }
@@ -74,12 +74,12 @@ pub fn fmt_bits(bits: f64) -> String {
 }
 
 /// Formats a per-element cost.
-pub fn fmt_per(bits: f64) -> String {
+pub(crate) fn fmt_per(bits: f64) -> String {
     format!("{bits:.2}")
 }
 
 /// Formats a failure count as `fails/trials`.
-pub fn fmt_failures(failures: usize, trials: usize) -> String {
+pub(crate) fn fmt_failures(failures: usize, trials: usize) -> String {
     format!("{failures}/{trials}")
 }
 

@@ -33,7 +33,7 @@ impl Workload {
     }
 
     /// The intersection size this workload targets.
-    pub fn overlap_count(&self) -> usize {
+    pub(crate) fn overlap_count(&self) -> usize {
         ((self.size as f64) * self.overlap).round() as usize
     }
 
@@ -51,7 +51,7 @@ impl Workload {
     /// the multi-party experiments. The global intersection is exactly the
     /// core (for `m ≥ 2`, private elements are sampled from disjoint
     /// per-player slices of the universe).
-    pub fn multiparty_sets(&self, m: usize, common: usize, trial: u64) -> Vec<ElementSet> {
+    pub(crate) fn multiparty_sets(&self, m: usize, common: usize, trial: u64) -> Vec<ElementSet> {
         assert!(common <= self.size);
         let mut rng = ChaCha8Rng::seed_from_u64(
             self.seed

@@ -43,7 +43,7 @@ impl BigNat {
     }
 
     /// Returns `true` if the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
@@ -307,23 +307,6 @@ pub fn binomial(n: u64, k: u64) -> BigNat {
     c
 }
 
-/// Sum of binomials `C(n, 0) + C(n, 1) + … + C(n, k)`: the number of subsets
-/// of `[n]` of size at most `k`.
-pub fn binomial_prefix_sum(n: u64, k: u64) -> BigNat {
-    let mut total = BigNat::zero();
-    let mut c = BigNat::one(); // C(n, 0)
-    for i in 0..=k.min(n) {
-        total.add_assign(&c);
-        if i < k.min(n) {
-            // C(n, i+1) = C(n, i) * (n - i) / (i + 1)
-            c.mul_assign_u64(n - i);
-            let rem = c.div_assign_rem_u64(i + 1);
-            debug_assert_eq!(rem, 0);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,18 +428,5 @@ mod tests {
         let c = binomial(1 << 16, 1 << 8);
         let bits = c.bit_len() as f64;
         assert!(bits > 2048.0 && bits < 3500.0, "bits = {bits}");
-    }
-
-    #[test]
-    fn binomial_prefix_sum_matches_sum() {
-        for n in 0..25u64 {
-            for k in 0..=n {
-                let mut sum = BigNat::zero();
-                for i in 0..=k {
-                    sum.add_assign(&binomial(n, i));
-                }
-                assert_eq!(sum, binomial_prefix_sum(n, k));
-            }
-        }
     }
 }

@@ -108,11 +108,6 @@ impl CoinSource {
         ChaCha8Rng::from_seed(seed)
     }
 
-    /// Shorthand for `self.fork(label).rng()`.
-    pub fn rng_for(&self, label: &str) -> ChaCha8Rng {
-        self.fork(label).rng()
-    }
-
     /// A cheap deterministic 64-bit hash of `(self, a, b)`.
     ///
     /// Used where a protocol must evaluate a *lazily defined* shared random
@@ -266,9 +261,9 @@ mod tests {
     #[test]
     fn different_labels_diverge() {
         let root = CoinSource::from_seed(5);
-        let x: u64 = root.rng_for("alpha").gen();
-        let y: u64 = root.rng_for("beta").gen();
-        let z: u64 = root.rng_for("alph").gen();
+        let x: u64 = root.fork("alpha").rng().gen();
+        let y: u64 = root.fork("beta").rng().gen();
+        let z: u64 = root.fork("alph").rng().gen();
         assert_ne!(x, y);
         assert_ne!(x, z);
     }

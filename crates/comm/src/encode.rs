@@ -175,12 +175,6 @@ impl BinomialSubsetCodec {
         BinomialSubsetCodec { n, k }
     }
 
-    /// The exact number of bits used for a subset of size `s`:
-    /// `⌈log₂(k+1)⌉` for the size header plus `⌈log₂ C(n,s)⌉` for the rank.
-    pub fn encoded_bits(&self, s: u64) -> usize {
-        bit_width_for(self.k + 1) + Self::rank_width(&binomial(self.n, s))
-    }
-
     /// Bits needed to address any rank in `[0, bound)`.
     fn rank_width(bound: &BigNat) -> usize {
         let mut max_rank = bound.clone();

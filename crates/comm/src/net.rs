@@ -908,7 +908,7 @@ mod tests {
     fn shared_coins_are_global() {
         use rand::Rng;
         let out = run_network(&NetworkConfig::new(4, 12), |ctx| {
-            Ok(ctx.coins().rng_for("global").gen::<u64>())
+            Ok(ctx.coins().fork("global").rng().gen::<u64>())
         })
         .unwrap();
         assert!(out.outputs.windows(2).all(|w| w[0] == w[1]));
@@ -919,7 +919,7 @@ mod tests {
         let behavior = |ctx: &mut PlayerCtx| {
             use rand::Rng;
             let id = ctx.id();
-            let noise = ctx.coins().rng_for("noise").gen_range(1..=8u64);
+            let noise = ctx.coins().fork("noise").rng().gen_range(1..=8u64);
             if id == 0 {
                 let mut total = 0;
                 for p in 1..4 {

@@ -240,7 +240,7 @@ pub fn contained<T>(
 }
 
 /// Both halves' individual results plus the session's exact cost —
-/// what [`SessionRunner::run_parts`] returns. Unlike the collapsed
+/// what `SessionRunner::run_parts` returns. Unlike the collapsed
 /// [`RunOutcome`], a caller can see that one half succeeded while the
 /// other failed.
 #[derive(Debug)]
@@ -463,7 +463,7 @@ impl SessionRunner {
     ///
     /// Fails only if the runner itself is broken (its paired thread
     /// died); protocol failures are reported inside [`SessionParts`].
-    pub fn run_parts<FA, FB, A, B>(
+    pub(crate) fn run_parts<FA, FB, A, B>(
         &mut self,
         cfg: &RunConfig,
         alice: FA,
@@ -487,7 +487,7 @@ impl SessionRunner {
     }
 
     /// Runs a *block* of sessions back to back over the warm pair — the
-    /// one thing a runner does; [`run_parts`](Self::run_parts) is the
+    /// one thing a runner does; `run_parts` is the
     /// block of one. Session `i` calls `alice(i, …)` here and `bob(i, …)`
     /// on the paired thread with the common random string of `seeds[i]`,
     /// under `cfg`'s budget and timeout (its seed is not used), and hands
@@ -724,11 +724,11 @@ mod tests {
             &RunConfig::with_seed(99),
             |_, coins| {
                 use rand::Rng;
-                Ok(coins.rng_for("h").gen::<u64>())
+                Ok(coins.fork("h").rng().gen::<u64>())
             },
             |_, coins| {
                 use rand::Rng;
-                Ok(coins.rng_for("h").gen::<u64>())
+                Ok(coins.fork("h").rng().gen::<u64>())
             },
         )
         .unwrap();
@@ -835,11 +835,11 @@ mod tests {
                 &RunConfig::with_seed(99),
                 |_, coins| {
                     use rand::Rng;
-                    Ok(coins.rng_for("h").gen::<u64>())
+                    Ok(coins.fork("h").rng().gen::<u64>())
                 },
                 |_, coins| {
                     use rand::Rng;
-                    Ok(coins.rng_for("h").gen::<u64>())
+                    Ok(coins.fork("h").rng().gen::<u64>())
                 },
             )
             .unwrap();
@@ -1000,11 +1000,11 @@ mod tests {
             &seeds,
             |_, _, coins: &CoinSource| {
                 use rand::Rng;
-                Ok(coins.rng_for("h").gen::<u64>())
+                Ok(coins.fork("h").rng().gen::<u64>())
             },
             |_, _, coins: &CoinSource| {
                 use rand::Rng;
-                Ok(coins.rng_for("h").gen::<u64>())
+                Ok(coins.fork("h").rng().gen::<u64>())
             },
         );
         let values: Vec<u64> = batch

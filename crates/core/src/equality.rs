@@ -18,7 +18,6 @@
 //! reusing a fingerprint function across adaptively chosen re-runs voids
 //! the error guarantee.
 
-use crate::ProtocolResult;
 use intersect_comm::bits::BitBuf;
 use intersect_comm::chan::Chan;
 use intersect_comm::coins::CoinSource;
@@ -135,11 +134,6 @@ impl EqualityTest {
         }
     }
 
-    /// Exact number of bits this test transmits (fingerprint + verdict).
-    pub fn cost_bits(&self) -> usize {
-        self.error_bits + 1
-    }
-
     /// Runs the test on one input string per party.
     ///
     /// Returns `true` iff the inputs were judged equal; both parties always
@@ -239,9 +233,6 @@ pub fn encode_for_equality(elems: &[u64]) -> BitBuf {
     buf
 }
 
-/// The result of an equality-style protocol run, bundling verdict and cost.
-pub type EqualityOutcome = ProtocolResult<bool>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,9 +299,8 @@ mod tests {
     fn cost_matches_declared() {
         let x = buf_of(&[1, 2, 3]);
         for bits in [1usize, 16, 30, 31, 60, 100] {
-            let eq = EqualityTest::new(bits);
             let (_, total, _) = run_eq(7, &x, &x.clone(), bits);
-            assert_eq!(total as usize, eq.cost_bits(), "bits = {bits}");
+            assert_eq!(total as usize, bits + 1, "bits = {bits}");
         }
     }
 

@@ -21,7 +21,7 @@ pub fn ceil_log2(x: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `x == 0`.
-pub fn floor_log2(x: u64) -> u64 {
+pub(crate) fn floor_log2(x: u64) -> u64 {
     assert!(x > 0, "log of zero");
     (63 - x.leading_zeros()) as u64
 }

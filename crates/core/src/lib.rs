@@ -75,17 +75,6 @@ pub mod tree;
 pub mod tree_pipelined;
 pub mod trivial;
 
-use intersect_comm::stats::CostReport;
-
-/// A protocol output value bundled with the exact cost of obtaining it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtocolResult<T> {
-    /// The protocol's output.
-    pub value: T,
-    /// Exact communication cost.
-    pub report: CostReport,
-}
-
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::amplify::Amplified;
@@ -102,8 +91,8 @@ pub mod prelude {
     pub use crate::newman::PrivateCoin;
     pub use crate::one_round::OneRoundHash;
     pub use crate::prepared::{
-        execute_prepared, execute_prepared_batch, execute_prepared_stream, FallbackPlan,
-        PairContext, PreparedProtocol, SessionCtx,
+        execute_prepared, execute_prepared_batch, execute_prepared_stream, PairContext,
+        PreparedProtocol, SessionCtx,
     };
     pub use crate::reconcile::IbltReconcile;
     pub use crate::sets::{ElementSet, InputPair, ProblemSpec};

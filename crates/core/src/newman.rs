@@ -51,11 +51,6 @@ impl PairRandomness {
         self.session
     }
 
-    /// How many streamed sessions have consumed this state.
-    pub fn sessions_run(&self) -> u64 {
-        self.used
-    }
-
     /// The pair's shared universe reduction, if the universe was large
     /// enough to reduce.
     pub fn reduction(&self) -> Option<&ModPrimeReduction> {
@@ -97,7 +92,7 @@ impl<P> PrivateCoin<P> {
 
     /// The transmitted session-seed width for a given spec:
     /// `O(log k + log log n)` bits.
-    pub fn session_seed_bits(spec: ProblemSpec) -> usize {
+    pub(crate) fn session_seed_bits(spec: ProblemSpec) -> usize {
         let log_k = crate::iterlog::ceil_log2(spec.k.max(2)) as usize;
         let loglog_n =
             crate::iterlog::ceil_log2(crate::iterlog::ceil_log2(spec.n.max(4)).max(2)) as usize;
@@ -363,7 +358,7 @@ mod tests {
         assert_eq!(streamed.report, one_shot.report);
         assert_eq!(streamed.alice, one_shot.alice);
         assert_eq!(streamed.bob, one_shot.bob);
-        assert_eq!(state_a.unwrap().sessions_run(), 1);
+        assert_eq!(state_a.unwrap().used, 1);
     }
 
     #[test]

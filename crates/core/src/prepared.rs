@@ -14,11 +14,11 @@
 //! **Bit-exactness is the contract**: for every plan,
 //! `plan.execute(chan, coins, side, input)` transmits byte-identical
 //! messages — and therefore produces identical outputs and
-//! [`CostReport`]s — to `SetIntersection::run(&proto, chan, coins, side,
-//! spec, input)`. This holds because preparation hoists only
-//! deterministic, RNG-free work (prime searches, tree shapes, error
-//! schedules); every random draw still happens in execution order from
-//! the same coin forks.
+//! [`CostReport`](intersect_comm::stats::CostReport)s — to
+//! `SetIntersection::run(&proto, chan, coins, side, spec, input)`. This
+//! holds because preparation hoists only deterministic, RNG-free work
+//! (prime searches, tree shapes, error schedules); every random draw
+//! still happens in execution order from the same coin forks.
 //!
 //! [`execute_prepared`], [`execute_prepared_batch`] and
 //! [`execute_prepared_stream`] drive plans through a thread-local warm
@@ -156,12 +156,13 @@ impl<'a> SessionCtx<'a> {
 ///   with no transmission (the paper's Theorem 3.1 reduction moved
 ///   wholly off the wire for pairs with shared setup).
 ///
-/// Sessions are numbered by a monotone counter ([`take_block`]
-/// (Self::take_block)), so session `i` of a pair is bit-identical to a
-/// one-shot run seeded with `stream_session_seed(pair_seed, i)` no
-/// matter how sessions are batched into submissions. The `generation`
-/// tag mirrors the plan cache's invalidation scheme: bumping the cache
-/// generation orphans old contexts without touching in-flight streams.
+/// Sessions are numbered by a monotone counter
+/// ([`take_block`](Self::take_block)), so session `i` of a pair is
+/// bit-identical to a one-shot run seeded with
+/// `stream_session_seed(pair_seed, i)` no matter how sessions are batched
+/// into submissions. The `generation` tag mirrors the plan cache's
+/// invalidation scheme: bumping the cache generation orphans old contexts
+/// without touching in-flight streams.
 #[derive(Debug)]
 pub struct PairContext {
     plan: Arc<dyn PreparedProtocol>,
@@ -266,7 +267,7 @@ impl PairContext {
 /// identity and execution delegates to [`SetIntersection::run`], which
 /// is bit-exact by construction.
 #[derive(Debug, Clone)]
-pub struct FallbackPlan<P> {
+pub(crate) struct FallbackPlan<P> {
     proto: P,
     spec: ProblemSpec,
 }

@@ -73,7 +73,7 @@ pub struct IbltHasher {
 
 impl IbltHasher {
     /// Derives the hasher from shared coins.
-    pub fn from_coins(coins: &CoinSource, check_bits: usize) -> Self {
+    pub(crate) fn from_coins(coins: &CoinSource, check_bits: usize) -> Self {
         IbltHasher {
             index: (0..SUBTABLES)
                 .map(|i| TabulationHash::sample(&mut coins.fork_index(i as u64).rng()))

@@ -113,16 +113,6 @@ impl ElementSet {
         }
     }
 
-    /// Returns `true` if every element of `self` is in `other`.
-    pub fn is_subset(&self, other: &ElementSet) -> bool {
-        self.iter().all(|x| other.contains(x))
-    }
-
-    /// Returns `true` if `self` and `other` share no element.
-    pub fn is_disjoint(&self, other: &ElementSet) -> bool {
-        self.intersection(other).is_empty()
-    }
-
     /// Elements of `self` not in `other`.
     pub fn difference(&self, other: &ElementSet) -> ElementSet {
         ElementSet {
@@ -136,7 +126,7 @@ impl ElementSet {
     }
 
     /// Keeps only elements satisfying the predicate.
-    pub fn filtered(&self, mut pred: impl FnMut(u64) -> bool) -> ElementSet {
+    pub(crate) fn filtered(&self, mut pred: impl FnMut(u64) -> bool) -> ElementSet {
         ElementSet {
             elems: self.elems.iter().copied().filter(|&x| pred(x)).collect(),
         }
@@ -333,19 +323,6 @@ mod tests {
             let diff: Vec<u64> = oa.difference(&ob).copied().collect();
             assert_eq!(sa.difference(&sb).as_slice(), &diff[..]);
         }
-    }
-
-    #[test]
-    fn subset_and_disjoint_predicates() {
-        let a = ElementSet::from_iter([1u64, 3, 5]);
-        let b = ElementSet::from_iter([1u64, 2, 3, 4, 5]);
-        let c = ElementSet::from_iter([7u64, 8]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
-        assert!(ElementSet::new().is_subset(&a));
-        assert!(a.is_disjoint(&c));
-        assert!(!a.is_disjoint(&b));
-        assert!(ElementSet::new().is_disjoint(&ElementSet::new()));
     }
 
     #[test]

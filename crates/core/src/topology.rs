@@ -100,7 +100,7 @@ impl PartyTopology {
     }
 
     /// `true` iff this is the two-party special case.
-    pub fn is_pair(&self) -> bool {
+    pub(crate) fn is_pair(&self) -> bool {
         self.players <= 2
     }
 
@@ -250,7 +250,7 @@ impl PreparedTournament {
     /// Per-player pairwise match counts over all levels (both sides of a
     /// match count once; apex certificates count as one extra match for
     /// each endpoint).
-    pub fn match_counts(&self) -> Vec<usize> {
+    pub(crate) fn match_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.topology.players];
         for level in &self.levels {
             for m in &level.matches {
@@ -266,28 +266,8 @@ impl PreparedTournament {
     }
 
     /// The heaviest player's match count — the tournament's load bound.
-    pub fn max_matches_per_player(&self) -> usize {
+    pub(crate) fn max_matches_per_player(&self) -> usize {
         self.match_counts().into_iter().max().unwrap_or(0)
-    }
-
-    /// Total matches across all levels (certificates excluded).
-    pub fn total_matches(&self) -> usize {
-        self.levels.iter().map(|l| l.matches.len()).sum()
-    }
-
-    /// The coin labels of every match, level by level, via
-    /// [`pair_label`] — exactly the labels the protocols fork under
-    /// `scope` (e.g. `"avg"`, `"wc-a0"`).
-    pub fn pair_labels(&self, scope: &str) -> Vec<String> {
-        self.levels
-            .iter()
-            .enumerate()
-            .flat_map(|(level, l)| {
-                l.matches
-                    .iter()
-                    .map(move |m| pair_label(scope, level, m.host, m.guest))
-            })
-            .collect()
     }
 
     /// A per-player communication envelope in bits: the player's match
@@ -391,9 +371,15 @@ mod tests {
     #[test]
     fn pair_labels_match_protocol_label_format() {
         let plan = PreparedTournament::prepare(PartyTopology::new(3, 2), TournamentKind::Bracket);
-        let labels = plan.pair_labels("wc-a0");
-        assert_eq!(labels[0], "mp/wc-a0/level0/0-1");
-        assert!(labels.contains(&pair_label("wc-a0", 1, 0, 2)));
+        let first = &plan.levels[0].matches[0];
+        assert_eq!(
+            pair_label("wc-a0", 0, first.host, first.guest),
+            "mp/wc-a0/level0/0-1"
+        );
+        assert!(plan.levels[1]
+            .matches
+            .iter()
+            .any(|m| (m.host, m.guest) == (0, 2)));
     }
 
     #[test]

@@ -484,7 +484,7 @@ impl PreparedProtocol for TreePlan {
 /// The leaf ranges of every tree level: `levels[i]` lists, for each node at
 /// height `i`, the half-open range of leaf indices it covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeShape {
+pub(crate) struct TreeShape {
     levels: Vec<Vec<(usize, usize)>>,
 }
 
@@ -555,11 +555,6 @@ impl TreeShape {
     pub fn level(&self, i: usize) -> &[(usize, usize)] {
         &self.levels[i]
     }
-
-    /// Number of levels (`r + 1`, including leaves and root).
-    pub fn height(&self) -> usize {
-        self.levels.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -592,7 +587,7 @@ mod tests {
         for r in 1..=5u32 {
             for k in [1u64, 2, 7, 64, 1000, 4096] {
                 let shape = TreeShape::build(r, k, DegreePolicy::Paper);
-                assert_eq!(shape.height(), r as usize);
+                assert_eq!(shape.levels.len() - 1, r as usize);
                 for i in 0..=r as usize {
                     let nodes = shape.level(i);
                     // Contiguous, disjoint, total coverage.

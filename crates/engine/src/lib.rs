@@ -63,9 +63,7 @@ pub mod timeline;
 pub use multiparty::{MultipartyRequest, MultipartySessionOutcome};
 pub use pair_context::{PairContextCache, PairContextStats};
 pub use plan_cache::{PlanCache, PlanCacheStats};
-pub use registry::{
-    EngineMetrics, EngineSnapshot, EngineWatch, LatencySummary, ProtocolTally, SessionSummary,
-};
+pub use registry::{EngineMetrics, EngineSnapshot, EngineWatch, LatencySummary, ProtocolTally};
 pub use request::SessionRequest;
 pub use router::{route, theory_envelope, RoutePolicy};
 pub use scheduler::{Engine, EngineConfig, EngineReport, SessionOutcome, StreamId, SubmitError};

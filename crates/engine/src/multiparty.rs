@@ -28,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 /// Default slack factor for per-player conformance envelopes: generous
 /// enough to absorb certificate retries (an expected `O(1)` event) while
 /// still catching protocols that blow their per-player budget outright.
-pub const MULTIPARTY_ENVELOPE_SLACK: f64 = 8.0;
+pub(crate) const MULTIPARTY_ENVELOPE_SLACK: f64 = 8.0;
 
 /// One m-party session to serve: workload parameters plus the protocol
 /// choice, regenerable into exact inputs by anyone holding the line.
@@ -155,7 +155,7 @@ impl MultipartyRequest {
     /// from the prepared tournament plan and the predicted
     /// [`PredictedCost`](intersect_core::cost::PredictedCost) of one
     /// certified pairwise run (at empty overlap, the tree's costliest).
-    pub fn envelope_bits(&self, plan: &PreparedTournament) -> f64 {
+    pub(crate) fn envelope_bits(&self, plan: &PreparedTournament) -> f64 {
         let pairwise = ProtocolChoice::Tree(self.tree_rounds)
             .predicted_cost(self.spec, None)
             .bits

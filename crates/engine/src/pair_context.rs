@@ -1,7 +1,7 @@
 //! A concurrent cache of per-pair randomness contexts, keyed by
 //! `(pair, ProtocolChoice, ProblemSpec)`.
 //!
-//! Where the [`PlanCache`](crate::plan_cache::PlanCache) amortizes the
+//! Where the [`PlanCache`] amortizes the
 //! *parameter phase* across sessions of one workload shape, this cache
 //! amortizes the *offline phase* across sessions of one client pair: a
 //! [`PairContext`] holds the pair's prepared plan, its forked coin

@@ -82,7 +82,7 @@ pub struct LatencySummary {
 /// A one-line record of a finished session, retained in a bounded ring
 /// for live introspection (`/sessions`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SessionSummary {
+pub(crate) struct SessionSummary {
     /// Client-assigned session id.
     pub id: u64,
     /// Display name of the protocol that served it.
@@ -390,7 +390,7 @@ impl EngineWatch {
     }
 
     /// The most recently finished sessions, oldest first (bounded ring).
-    pub fn recent_sessions(&self) -> Vec<SessionSummary> {
+    pub(crate) fn recent_sessions(&self) -> Vec<SessionSummary> {
         self.registry.recent()
     }
 

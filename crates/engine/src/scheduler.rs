@@ -187,10 +187,11 @@ pub struct SessionOutcome {
     /// Bob's output, if his half succeeded.
     pub bob: Option<ElementSet>,
     /// The primary failure, if any (secondary hangups are suppressed
-    /// exactly as in [`run_two_party`]).
+    /// exactly as in [`run_two_party`](intersect_comm::runner::run_two_party)).
     pub error: Option<ProtocolError>,
     /// Exact communication cost, identical to what a dedicated
-    /// [`run_two_party`] call would report for this session.
+    /// [`run_two_party`](intersect_comm::runner::run_two_party) call
+    /// would report for this session.
     pub report: CostReport,
     /// Wall-clock admission-to-outcome latency in microseconds.
     pub latency_micros: u64,

@@ -8,31 +8,16 @@
 //! * [`prime`] — exact Miller–Rabin primality and seeded prime sampling.
 //! * [`pairwise`] — Carter–Wegman pairwise-independent functions
 //!   (the `h` of Fact 2.2, described by `O(log n)` bits).
-//! * [`kwise`] — polynomial `k`-wise independent functions.
-//! * [`fks`] — the FKS two-level perfect hash table (\[FKS84\]) used for
-//!   `O(1)` local membership queries.
-//! * [`reduce`] — the mod-random-prime universe reduction that shrinks
-//!   `[n]` to `Õ(k² log n)` and makes private-coin seeds cost
-//!   `O(log k + log log n)` bits.
+//! * [`reduce`] — the mod-random-prime universe reduction (\[FKS84\])
+//!   that shrinks `[n]` to `Õ(k² log n)` and makes private-coin seeds cost
+//!   `O(log k + log log n)` bits; it is this crate's only use of \[FKS84\].
 //! * [`tabulation`] — simple tabulation hashing, the fast local family for
 //!   shared-coin bulk hashing (min-wise sketches).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fks;
-pub mod kwise;
 pub mod pairwise;
 pub mod prime;
 pub mod reduce;
 pub mod tabulation;
-
-/// The most commonly used items, for glob import.
-pub mod prelude {
-    pub use crate::fks::FksTable;
-    pub use crate::kwise::KWiseHash;
-    pub use crate::pairwise::PairwiseHash;
-    pub use crate::prime::{is_prime, next_prime, random_prime_in, M61};
-    pub use crate::reduce::ModPrimeReduction;
-    pub use crate::tabulation::TabulationHash;
-}

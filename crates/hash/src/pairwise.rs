@@ -113,7 +113,7 @@ impl PairwiseFamily {
 impl PairwiseHash {
     /// The field prime used for a given universe: the smallest prime
     /// `≥ universe` (so that `x ↦ x` is injective into the field).
-    pub fn field_prime(universe: u64) -> u64 {
+    pub(crate) fn field_prime(universe: u64) -> u64 {
         next_prime(universe.max(2))
     }
 
@@ -192,37 +192,6 @@ impl PairwiseHash {
             universe,
             range,
         })
-    }
-
-    /// Samples a function that has **no collisions** on `keys`, retrying as
-    /// needed (Fact 2.2: with `range ≥ |keys|²` a constant number of tries
-    /// suffices in expectation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range < |keys|` (injectivity impossible) or if an
-    /// unreasonable number of retries fails, which indicates misuse.
-    pub fn sample_injective_on<R: Rng + ?Sized>(
-        rng: &mut R,
-        universe: u64,
-        range: u64,
-        keys: &[u64],
-    ) -> Self {
-        assert!(range >= keys.len() as u64, "range smaller than key count");
-        'outer: for _ in 0..1000 {
-            let h = Self::sample(rng, universe, range);
-            let mut seen = std::collections::HashSet::with_capacity(keys.len());
-            for &k in keys {
-                if !seen.insert(h.eval(k)) {
-                    continue 'outer;
-                }
-            }
-            return h;
-        }
-        panic!(
-            "no injective hash found after 1000 tries (range {range} for {} keys)",
-            keys.len()
-        );
     }
 }
 
@@ -309,16 +278,6 @@ mod tests {
         buf.push_bits(0, w); // a = 0 is not a valid multiplier
         buf.push_bits(5, w);
         assert!(PairwiseHash::read_seed(&mut buf.reader(), 100, 10).is_err());
-    }
-
-    #[test]
-    fn injective_sampling_has_no_collisions() {
-        let keys: Vec<u64> = (0..50u64).map(|i| i * i + 3).collect();
-        let h = PairwiseHash::sample_injective_on(&mut rng(5), 10_000, 50 * 50, &keys);
-        let mut seen = std::collections::HashSet::new();
-        for &k in &keys {
-            assert!(seen.insert(h.eval(k)));
-        }
     }
 
     #[test]

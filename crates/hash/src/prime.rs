@@ -112,7 +112,7 @@ pub fn next_prime(mut n: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if the interval is empty or contains no prime.
-pub fn random_prime_in<R: Rng + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> u64 {
+pub(crate) fn random_prime_in<R: Rng + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> u64 {
     assert!(lo < hi, "empty interval [{lo}, {hi})");
     // Expected O(ln hi) iterations; the generous cap only trips on
     // prime-free intervals.

@@ -52,40 +52,13 @@ impl ModPrimeReduction {
     /// Samples a reduction for sets of at most `k` elements of `[universe]`.
     ///
     /// With probability `1 − O(1/k)` the sampled `q` has no collisions on
-    /// any fixed pair set of `≤ 2k` elements; callers that need a
-    /// collision-free map on a *known* set should use
-    /// [`sample_injective_on`](Self::sample_injective_on).
+    /// any fixed pair set of `≤ 2k` elements.
     pub fn sample<R: Rng + ?Sized>(rng: &mut R, universe: u64, k: u64) -> Self {
         let (lo, hi) = Self::window(universe, k);
         ModPrimeReduction {
             q: random_prime_in(rng, lo, hi),
             window_lo: lo,
         }
-    }
-
-    /// Samples a reduction that is injective on `keys`, retrying as needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no injective prime is found after many tries (only possible
-    /// when `keys` is far larger than the `k` used for the window).
-    pub fn sample_injective_on<R: Rng + ?Sized>(
-        rng: &mut R,
-        universe: u64,
-        k: u64,
-        keys: &[u64],
-    ) -> Self {
-        'outer: for _ in 0..1000 {
-            let r = Self::sample(rng, universe, k);
-            let mut seen = std::collections::HashSet::with_capacity(keys.len());
-            for &key in keys {
-                if !seen.insert(r.map(key)) {
-                    continue 'outer;
-                }
-            }
-            return r;
-        }
-        panic!("no injective modulus found for {} keys", keys.len());
     }
 
     /// Applies the reduction.
@@ -179,17 +152,6 @@ mod tests {
             failures <= trials / 10,
             "{failures}/{trials} reductions collided"
         );
-    }
-
-    #[test]
-    fn injective_sampling_never_collides() {
-        let mut r = rng(4);
-        let keys: Vec<u64> = (0..100u64).map(|i| i * 1_000_003 + 17).collect();
-        let red = ModPrimeReduction::sample_injective_on(&mut r, 1 << 40, 50, &keys);
-        let mut seen = std::collections::HashSet::new();
-        for &k in &keys {
-            assert!(seen.insert(red.map(k)));
-        }
     }
 
     #[test]

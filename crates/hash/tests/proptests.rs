@@ -1,8 +1,6 @@
 //! Property-based tests for the hashing substrate.
 
 use intersect_comm::bits::BitBuf;
-use intersect_hash::fks::FksTable;
-use intersect_hash::kwise::KWiseHash;
 use intersect_hash::pairwise::PairwiseHash;
 use intersect_hash::prime::{is_prime, mul_mod, next_prime, pow_mod};
 use intersect_hash::reduce::ModPrimeReduction;
@@ -51,34 +49,6 @@ proptest! {
             prop_assert_eq!(h.eval(x), h2.eval(x));
             prop_assert!(h.eval(x) < range);
         }
-    }
-
-    #[test]
-    fn kwise_seed_round_trip(seed in any::<u64>(), ind in 1usize..8, universe in 2u64..100_000) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let h = KWiseHash::sample(&mut rng, ind, universe, 997);
-        let mut buf = BitBuf::new();
-        h.write_seed(&mut buf);
-        let h2 = KWiseHash::read_seed(&mut buf.reader(), ind, universe, 997).unwrap();
-        prop_assert_eq!(&h, &h2);
-        prop_assert_eq!(h.eval(universe - 1), h2.eval(universe - 1));
-    }
-
-    #[test]
-    fn fks_membership_is_exact(keys in prop::collection::btree_set(0u64..1_000_000, 0..200),
-                               probes in prop::collection::vec(0u64..1_000_000, 0..50),
-                               seed in any::<u64>()) {
-        let key_vec: Vec<u64> = keys.iter().copied().collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let table = FksTable::build(&mut rng, 1_000_000, &key_vec);
-        for &k in &key_vec {
-            prop_assert!(table.contains(k));
-        }
-        for &p in &probes {
-            prop_assert_eq!(table.contains(p), keys.contains(&p));
-        }
-        // Linear space bound.
-        prop_assert!(table.slot_count() <= 4 * key_vec.len().max(1) + key_vec.len());
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl MultipartyChoice {
     }
 
     /// The scheduling shape the protocol induces per level.
-    pub fn tournament_kind(self) -> TournamentKind {
+    pub(crate) fn tournament_kind(self) -> TournamentKind {
         match self {
             MultipartyChoice::AverageCase | MultipartyChoice::Disjointness => TournamentKind::Star,
             MultipartyChoice::WorstCase => TournamentKind::Bracket,

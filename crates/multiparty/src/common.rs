@@ -47,7 +47,7 @@ impl PairwiseConfig {
 /// # Errors
 ///
 /// Propagates transport and protocol failures.
-pub fn certified_pairwise(
+pub(crate) fn certified_pairwise(
     cfg: PairwiseConfig,
     chan: &mut dyn Chan,
     coins: &CoinSource,

@@ -7,7 +7,7 @@
 //! thread of its own: the calling threads read the socket themselves
 //! (`crate::mux`: whichever waits first reads for all). The client
 //! executes the Alice half of the routed protocol locally over a
-//! [`RemoteChan`], regenerating the session's inputs from the request
+//! `RemoteChan`, regenerating the session's inputs from the request
 //! seed exactly as the server does, and assembles the final
 //! [`CostReport`] from its own counters plus the server's
 //! [`WireFrame::Done`] counters with the same `assemble_report` the
@@ -152,7 +152,7 @@ impl NetClient {
     /// # Errors
     ///
     /// Propagates connect failures.
-    pub fn connect_addr(addr: &EndpointAddr) -> std::io::Result<NetClient> {
+    pub(crate) fn connect_addr(addr: &EndpointAddr) -> std::io::Result<NetClient> {
         metrics::describe_net_metrics();
         let timeout = Duration::from_secs(30);
         // The only frame a client receives outside its sessions' inboxes

@@ -6,8 +6,9 @@
 //! it belongs to. Protocol messages ([`WireFrame::Msg`]) carry the
 //! sender's causal depth, the payload's **exact bit length**, and the
 //! payload packed into `ceil(bits/8)` bytes — so the receiving channel
-//! can meter precisely the bits the in-process [`Endpoint`] would have
-//! metered, never a byte-rounded approximation.
+//! can meter precisely the bits the in-process
+//! [`Endpoint`](intersect_comm::chan::Endpoint) would have metered, never
+//! a byte-rounded approximation.
 //!
 //! ```text
 //! +--------------+----------------------------------------------+
@@ -37,7 +38,7 @@
 //! peer tag for pairwise-link routing, [`WireFrame::MpOut`] delivers the
 //! driven player's final output, and [`WireFrame::MpDone`] returns the
 //! folded session outcome with the exact per-player
-//! [`NetworkReport`](intersect_comm::stats::NetworkReport).
+//! [`NetworkReport`].
 //!
 //! Decoding is total: any byte sequence either yields a frame or a
 //! descriptive [`FrameError`]; malformed input (oversized length prefix,
@@ -47,7 +48,7 @@
 
 use intersect_comm::bits::BitBuf;
 use intersect_comm::stats::{ChannelStats, NetworkReport};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Hard cap on the body length a peer may announce. Protocol payloads
 /// are a few kilobits (the whole point of the paper is that they are
@@ -79,7 +80,9 @@ pub enum WireFrame {
     Open {
         /// Connection-scoped session id chosen by the client.
         session: u64,
-        /// The request in [`SessionRequest::to_line`] format.
+        /// The request in
+        /// [`SessionRequest::to_line`](intersect_engine::SessionRequest::to_line)
+        /// format.
         line: String,
     },
     /// Server → client: session accepted and routed to `protocol`.
@@ -280,7 +283,7 @@ pub fn encode(frame: &WireFrame) -> Vec<u8> {
 /// form a connection's write buffer uses, so several frames share one
 /// allocation and one `write`. The prefix is reserved first and patched
 /// once the body length is known.
-pub fn encode_into(out: &mut Vec<u8>, frame: &WireFrame) {
+pub(crate) fn encode_into(out: &mut Vec<u8>, frame: &WireFrame) {
     let prefix_at = out.len();
     put_u32(out, 0);
     let body = &mut *out;
@@ -666,19 +669,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<WireFrame>, FrameError> {
     let frame = decode_body(&body)?;
     crate::metrics::frame_observed("rx", 4 + len as u64);
     Ok(Some(frame))
-}
-
-/// Writes one frame (length prefix included) and flushes.
-///
-/// # Errors
-///
-/// Propagates stream failures.
-pub fn write_frame(w: &mut impl Write, frame: &WireFrame) -> io::Result<()> {
-    let bytes = encode(frame);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    crate::metrics::frame_observed("tx", bytes.len() as u64);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -59,7 +59,6 @@ mod mux;
 pub mod prelude {
     pub use crate::client::{ClientTimeline, NetClient, RemoteMultipartyRun, RemoteRun};
     pub use crate::frame::{WireFrame, MAX_BODY_BYTES};
-    pub use crate::metrics::describe_net_metrics;
     pub use crate::server::{NetServer, NetServerConfig, NetSummary};
     pub use crate::transport::EndpointAddr;
 }

@@ -9,7 +9,7 @@ use intersect_obs::metrics::labeled;
 
 /// Registers `# HELP` texts for every metric the network plane emits.
 /// No-op while no subscriber is installed.
-pub fn describe_net_metrics() {
+pub(crate) fn describe_net_metrics() {
     for (name, help) in [
         (
             "net_connections_open",
@@ -65,7 +65,7 @@ pub fn describe_net_metrics() {
 
 /// Records one frame crossing the process boundary in direction `dir`
 /// (`"tx"` or `"rx"`), `bytes` long on the wire.
-pub fn frame_observed(dir: &str, bytes: u64) {
+pub(crate) fn frame_observed(dir: &str, bytes: u64) {
     // Building the labelled series names allocates; skip it while no
     // subscriber would receive the increments.
     if !obs::enabled() {
@@ -76,7 +76,7 @@ pub fn frame_observed(dir: &str, bytes: u64) {
 }
 
 /// Records a connection opening (`+1`) or closing (`-1`).
-pub fn connection_delta(d: i64) {
+pub(crate) fn connection_delta(d: i64) {
     obs::gauge_add("net_connections_open", d);
     if d > 0 {
         obs::counter_add("net_connections_total", d as u64);
@@ -84,17 +84,17 @@ pub fn connection_delta(d: i64) {
 }
 
 /// Records one remote session admitted onto a connection.
-pub fn session_opened() {
+pub(crate) fn session_opened() {
     obs::counter_add("net_sessions_multiplexed", 1);
     obs::gauge_add("net_sessions_active", 1);
 }
 
 /// Records one remote session leaving the active set.
-pub fn session_closed() {
+pub(crate) fn session_closed() {
     obs::gauge_add("net_sessions_active", -1);
 }
 
 /// Records one refused session open.
-pub fn session_rejected() {
+pub(crate) fn session_rejected() {
     obs::counter_add("net_sessions_rejected", 1);
 }

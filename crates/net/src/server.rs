@@ -4,8 +4,8 @@
 //!
 //! One thread accepts; one thread per connection waits for the
 //! connection's frames, admits each Open and runs the admitted session's
-//! server (Bob) half itself over a [`RemoteChan`]. While it is busy the
-//! connection's other sessions read the socket (see [`crate::mux`]): an
+//! server (Bob) half itself over a `RemoteChan`. While it is busy the
+//! connection's other sessions read the socket (see the `mux` module): an
 //! Open one of them reads is admitted on the spot and run on a reused
 //! helper thread of the connection. No thread is spawned per session.
 //!

@@ -141,7 +141,7 @@ impl Stream {
     /// # Errors
     ///
     /// Propagates the ioctl failure.
-    pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         on_socket!(self, s => s.set_nonblocking(on))
     }
 }
@@ -248,7 +248,7 @@ impl Listener {
     }
 
     /// Removes a Unix listener's socket file (no-op for TCP).
-    pub fn cleanup(&self) {
+    pub(crate) fn cleanup(&self) {
         #[cfg(unix)]
         if let Listener::Unix(_, p) = self {
             let _ = std::fs::remove_file(p);

@@ -118,7 +118,7 @@ pub struct ConformanceReport {
     /// Total violations (every breach counts, even past the retention
     /// cap).
     pub violation_count: u64,
-    /// The first [`KEPT_VIOLATIONS`] individual violations.
+    /// The first `KEPT_VIOLATIONS` individual violations.
     pub violations: Vec<Violation>,
 }
 
@@ -149,7 +149,7 @@ impl Health {
     }
 
     /// Records `n` violations (flips [`ok`](Health::ok) to false).
-    pub fn record_violations(&self, n: u64) {
+    pub(crate) fn record_violations(&self, n: u64) {
         self.violations.fetch_add(n, Ordering::Relaxed);
     }
 }

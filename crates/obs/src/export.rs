@@ -33,7 +33,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders one event as a single-line JSON object (no trailing newline).
-pub fn event_json(ev: &Event) -> String {
+pub(crate) fn event_json(ev: &Event) -> String {
     let mut out = format!(
         "{{\"ts_us\":{},\"target\":\"{}\",\"name\":\"{}\"",
         ev.ts_micros,
@@ -81,7 +81,7 @@ pub fn event_json(ev: &Event) -> String {
     out
 }
 
-/// Renders events as a JSONL stream: one [`event_json`] line per event.
+/// Renders events as a JSONL stream: one `event_json` line per event.
 pub fn jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for ev in events {

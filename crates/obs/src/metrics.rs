@@ -7,7 +7,7 @@ use std::sync::Mutex;
 /// Escapes a string for use as a Prometheus label *value*: backslash,
 /// double quote, and newline must be escaped per the text exposition
 /// format.
-pub fn label_escape(s: &str) -> String {
+pub(crate) fn label_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -21,7 +21,7 @@ pub fn label_escape(s: &str) -> String {
 }
 
 /// Builds a fully-labeled series name — `base{k1="v1",k2="v2"}` — with
-/// label values escaped via [`label_escape`]. Labeled series live in the
+/// label values escaped via `label_escape`. Labeled series live in the
 /// registry under this full name; the Prometheus exporter groups them
 /// back under their base name for `# HELP`/`# TYPE` lines.
 ///

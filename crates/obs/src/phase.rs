@@ -39,7 +39,7 @@ pub fn active() -> bool {
 }
 
 /// The innermost phase label on this thread, if any.
-pub fn current_label() -> Option<String> {
+pub(crate) fn current_label() -> Option<String> {
     STACK.with(|s| s.borrow().last().cloned())
 }
 
@@ -49,12 +49,12 @@ pub fn current_label_or_empty() -> String {
 }
 
 /// This thread's session attribution, set by [`SessionScope`].
-pub fn current_session() -> Option<(u64, Party)> {
+pub(crate) fn current_session() -> Option<(u64, Party)> {
     SESSION.with(|c| c.get())
 }
 
 /// [`current_session`] split into the two `Option`s an [`Event`] carries.
-pub fn current_session_split() -> (Option<u64>, Option<Party>) {
+pub(crate) fn current_session_split() -> (Option<u64>, Option<Party>) {
     match current_session() {
         Some((id, party)) => (Some(id), Some(party)),
         None => (None, None),

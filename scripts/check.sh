@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, e.g. dangling intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 

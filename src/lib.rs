@@ -17,7 +17,8 @@
 //! This is a facade crate: it re-exports the workspace members.
 //!
 //! * [`comm`] — the metered communication substrate.
-//! * [`hash`] — hash families with transmittable seeds, FKS hashing.
+//! * [`hash`] — hash families with transmittable seeds, and the \[FKS84\]
+//!   mod-prime universe reduction.
 //! * [`core`] — the protocols (see [`core::tree`] for the headline result).
 //! * [`multiparty`] — the message-passing-model extensions.
 //! * [`apps`] — joins, similarity statistics, duplicate detection.

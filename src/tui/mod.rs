@@ -10,14 +10,14 @@
 //! The design splits three layers so the interesting one is testable
 //! without a terminal or a server:
 //!
-//! - [`scrape`] — fetches one [`Sample`](scrape::Sample) per tick over
+//! - [`scrape`] — fetches one [`Sample`] per tick over
 //!   plain HTTP (the same zero-dependency `http_get` the smoke tests
 //!   use); a sample can equally be built from captured bodies, which is
 //!   how fixtures work;
-//! - [`state`] — [`AppState`](state::AppState) plus a pure
+//! - [`state`] — [`AppState`] plus a pure
 //!   [`reduce`](state::AppState::reduce) folding each sample into
 //!   history rings and derived rates (an Elm-style update function);
-//! - [`render`] — a pure `AppState → String` frame renderer, pinned by
+//! - [`mod@render`] — a pure `AppState → String` frame renderer, pinned by
 //!   a golden-frame test; the binary only adds the ANSI alt-screen and
 //!   the poll loop around it.
 
